@@ -7,17 +7,23 @@ task ordering is replayed by greedily assigning each task, in order, to
 the earliest-available server, dropping it if it can no longer meet its
 deadline. Orderings are encoded as random-key priority vectors, so the
 swarm moves through a continuous space and every position decodes to a
-valid permutation.
+valid permutation. Both swarms run the same search (``swarm_search``)
+against the same replay score (``replay_cost``); they differ only in the
+server availabilities a replay starts from and in their warm starts.
 
 The offline optimizer assumes full knowledge of the episode's arrivals,
-which an online scheduler never has; its value is as a reference bound.
+which an online scheduler never has. It is not a bound on its own: it
+never finishes worse than the orderings it is warm-started with, so it
+bounds exactly those schedules. ``run_matrix`` warm-starts it with every
+schedule the online algorithms of the same trace executed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -108,21 +114,6 @@ class RandomScheduler:
         return int(self._rng.integers(len(window.feasible)))
 
 
-class PlanScheduler:
-    """Follow a fixed ordering: always pick the feasible task that the plan
-    ranks first. Lets an offline plan be pushed through the online engine."""
-
-    name = "plan"
-
-    def __init__(self, ordering: Sequence[int], tasks: Sequence[Task]):
-        # ordering holds positions into `tasks`; store ranks per task id
-        self._rank = {tasks[pos].id: r for r, pos in enumerate(ordering)}
-
-    def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
-        feas = window.feasible
-        return min(range(len(feas)), key=lambda i: self._rank[feas[i].id])
-
-
 def replay_ordering(
     tasks: Sequence[Task], ordering: Sequence[int], num_mecs: int
 ) -> EpisodeResult:
@@ -174,7 +165,7 @@ def induced_ordering(result: EpisodeResult) -> tuple[int, ...]:
 
 def decode_priorities(position: np.ndarray) -> tuple[int, ...]:
     """Random-key decode: sort task positions by ascending priority key."""
-    return tuple(int(i) for i in np.argsort(position, kind="stable"))
+    return tuple(np.argsort(position, kind="stable").tolist())
 
 
 def _ordering_to_position(ordering: Sequence[int], n: int) -> np.ndarray:
@@ -200,16 +191,13 @@ def brute_force_oracle(
             f"{len(tasks)} tasks exceeds the exhaustive-search limit of {max_tasks}"
         )
     base = prepare_tasks(tasks, params)
-    best_val = None
+    best_val = math.inf
     best_ord: tuple[int, ...] = ()
+    # an empty task list still yields one (empty) permutation
     for perm in itertools.permutations(range(len(base))):
         val = objective(replay_ordering(base, perm, cfg.num_mecs), cfg.lambda_weight)
-        if best_val is None or val < best_val:
+        if val < best_val:
             best_val, best_ord = val, perm
-    if best_val is None:
-        best_val = objective(
-            replay_ordering(base, (), cfg.num_mecs), cfg.lambda_weight
-        )
     return AssignmentPlan(ordering=best_ord, objective=best_val)
 
 
@@ -218,6 +206,109 @@ def prepare_tasks(tasks: Sequence[Task], params: ChannelParams) -> list[Task]:
     base = [t.copy() for t in sorted(tasks, key=lambda t: t.id)]
     attach_comm_times(base, params)
     return base
+
+
+def replay_cost(
+    order: Sequence[int],
+    avails: Sequence[float],
+    arrivals: Sequence[float],
+    procs: Sequence[float],
+    comms: Sequence[float],
+    slacks: Sequence[float],
+    lam: float,
+    task_order: bool = False,
+) -> float:
+    """Objective of one greedy replay, over plain per-task columns.
+
+    The rule of ``replay_ordering`` without building ``Task`` results:
+    servers start at ``avails``; each position of ``order`` (a non-empty
+    ordering of column positions) goes to the earliest-available server
+    at ``max(availability, arrival)``, or is dropped when its waiting
+    would exceed its slack.
+
+    Latencies are summed in replay order, or in column order when
+    ``task_order`` is set; for id-ordered columns replayed from idle
+    servers the latter equals ``objective(replay_ordering(...))`` bit for
+    bit. The two sums can differ in the last bits, and schedules hinge on
+    strict comparisons of these scores, so the order is part of each
+    swarm's definition: the offline swarm sums in task order and the
+    per-window swarm in replay order.
+    """
+    av = list(avails)
+    lats = [0.0] * len(arrivals)
+    drops = 0
+    for pos in order:
+        free = min(av)
+        j = av.index(free)
+        start = max(free, arrivals[pos])
+        waiting = start - arrivals[pos]
+        if waiting <= slacks[pos]:
+            av[j] = start + procs[pos]
+            lats[pos] = waiting + procs[pos] + 2.0 * comms[pos]
+        else:
+            drops += 1
+    lat = sum(lats) if task_order else sum(map(lats.__getitem__, order))
+    return lam * lat + (1.0 - lam) * drops / len(order)
+
+
+def _columns(tasks: Sequence[Task]) -> tuple[list[float], ...]:
+    """The arrival, processing, comm and slack columns ``replay_cost`` reads."""
+    return (
+        [t.arrival for t in tasks],
+        [t.proc_time for t in tasks],
+        [t.comm_time for t in tasks],
+        [slack(t) for t in tasks],
+    )
+
+
+def swarm_search(
+    score: Callable[[tuple[int, ...]], float],
+    n: int,
+    starts: Sequence[Sequence[int]],
+    iterations: int,
+    pso: PsoParams,
+    rng: np.random.Generator,
+) -> tuple[float, tuple[int, ...]]:
+    """Particle-swarm search over orderings of ``n`` positions.
+
+    Particles are random-key priority vectors (Bean 1994), decoded by
+    ``decode_priorities``; velocities follow the constriction form with
+    the ``pso`` weights (Clerc & Kennedy 2002). The first particles start
+    at the keys of ``starts``, so the search never finishes worse than
+    those orderings; the rest start at random keys. Returns the best
+    (score, ordering) ever evaluated, earliest on ties.
+    """
+    swarm = max(pso.swarm_size, 1)
+    x = rng.uniform(0.0, 1.0, size=(swarm, n))
+    v = rng.uniform(-0.1, 0.1, size=(swarm, n))
+    for row, ordering in enumerate(starts[:swarm]):
+        x[row] = _ordering_to_position(ordering, n)
+
+    pbest_x = x.copy()
+    pbest_val = np.full(swarm, np.inf)
+    best_val = math.inf
+    best_ord: tuple[int, ...] = ()
+    for step in range(iterations + 1):
+        if step:  # step 0 scores the starting swarm
+            r1 = rng.uniform(size=(swarm, n))
+            r2 = rng.uniform(size=(swarm, n))
+            v = (
+                pso.inertia * v
+                + pso.c1 * r1 * (pbest_x - x)
+                + pso.c2 * r2 * (gbest_x - x)
+            )
+            np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)
+            x = x + v
+        for i in range(swarm):
+            order = decode_priorities(x[i])
+            val = score(order)
+            if val < pbest_val[i]:
+                pbest_val[i] = val
+                pbest_x[i] = x[i]
+            if val < best_val:
+                best_val, best_ord = val, order
+        gbest_x = pbest_x[int(np.argmin(pbest_val))].copy()
+    return best_val, best_ord
 
 
 def pso_optimize_static(
@@ -230,64 +321,27 @@ def pso_optimize_static(
 ) -> AssignmentPlan:
     """Offline swarm search over whole-episode orderings.
 
-    The swarm is warm-started with an arrival-order particle and a
-    deadline-order particle (plus any caller-provided ``seed_orderings``),
-    so the search never finishes worse than those replays; the rest of the
-    swarm starts at random keys. Returns the best plan ever evaluated.
+    Replays start from idle servers. The swarm is warm-started with an
+    arrival-order particle and a deadline-order particle, plus any
+    caller-provided ``seed_orderings``, so the search never finishes
+    worse than those replays. Returns the best plan ever evaluated.
     """
     base = prepare_tasks(tasks, params)
     n = len(base)
-    lam = cfg.lambda_weight
     if n == 0:
         return AssignmentPlan(ordering=(), objective=0.0)
-
-    def fitness(position: np.ndarray) -> tuple[float, tuple[int, ...]]:
-        order = decode_priorities(position)
-        return objective(replay_ordering(base, order, cfg.num_mecs), lam), order
-
-    rng = np.random.default_rng(seed)
-    swarm = max(pso.swarm_size, 1)
-    x = rng.uniform(0.0, 1.0, size=(swarm, n))
-    v = rng.uniform(-0.1, 0.1, size=(swarm, n))
-
-    starts: list[Sequence[int]] = [
+    avails = [0.0] * cfg.num_mecs
+    columns = _columns(base)
+    lam = cfg.lambda_weight
+    starts = [
         sorted(range(n), key=lambda i: (base[i].arrival, base[i].id)),
         sorted(range(n), key=lambda i: (base[i].deadline, base[i].id)),
+        *seed_orderings,
     ]
-    starts.extend(seed_orderings)
-    for row, ordering in enumerate(starts[:swarm]):
-        x[row] = _ordering_to_position(ordering, n)
-
-    pbest_x = x.copy()
-    pbest_val = np.empty(swarm)
-    best_val = None
-    best_ord: tuple[int, ...] = ()
-    for i in range(swarm):
-        val, order = fitness(x[i])
-        pbest_val[i] = val
-        if best_val is None or val < best_val:
-            best_val, best_ord = val, order
-    gbest_x = pbest_x[int(np.argmin(pbest_val))].copy()
-
-    for _ in range(pso.iterations_static):
-        r1 = rng.uniform(size=(swarm, n))
-        r2 = rng.uniform(size=(swarm, n))
-        v = (
-            pso.inertia * v
-            + pso.c1 * r1 * (pbest_x - x)
-            + pso.c2 * r2 * (gbest_x - x)
-        )
-        np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)
-        x = x + v
-        for i in range(swarm):
-            val, order = fitness(x[i])
-            if val < pbest_val[i]:
-                pbest_val[i] = val
-                pbest_x[i] = x[i].copy()
-            if val < best_val:
-                best_val, best_ord = val, order
-        gbest_x = pbest_x[int(np.argmin(pbest_val))].copy()
-
+    best_val, best_ord = swarm_search(
+        lambda order: replay_cost(order, avails, *columns, lam, task_order=True),
+        n, starts, pso.iterations_static, pso, np.random.default_rng(seed),
+    )
     return AssignmentPlan(ordering=best_ord, objective=best_val)
 
 
@@ -316,61 +370,12 @@ class DynamicPsoScheduler:
         if w == 1:
             return 0
         avails = [m.available_at for m in mecs]
-        arrivals = [t.arrival for t in feas]
-        procs = [t.proc_time for t in feas]
-        comms = [t.comm_time for t in feas]
-        slacks = [slack(t) for t in feas]
+        columns = _columns(feas)
         lam = self._lam
-
-        def fitness(order: Sequence[int]) -> float:
-            av = list(avails)
-            lat = 0.0
-            drops = 0
-            for pos in order:
-                j = min(range(len(av)), key=lambda k: av[k])
-                start = max(av[j], arrivals[pos])
-                waiting = start - arrivals[pos]
-                if waiting <= slacks[pos]:
-                    av[j] = start + procs[pos]
-                    lat += waiting + procs[pos] + 2.0 * comms[pos]
-                else:
-                    drops += 1
-            return lam * lat + (1.0 - lam) * drops / w
-
-        p = self._p
-        rng = self._rng
-        swarm = max(p.swarm_size, 1)
-        x = rng.uniform(0.0, 1.0, size=(swarm, w))
-        v = rng.uniform(-0.1, 0.1, size=(swarm, w))
         # particle 0 starts at the arrival-order keys, so the search can
         # never do worse than taking the window in order
-        x[0] = _ordering_to_position(range(w), w)
-        pbest_x = x.copy()
-        pbest_val = np.empty(swarm)
-        best_val = None
-        best_head = 0
-        for i in range(swarm):
-            order = decode_priorities(x[i])
-            val = fitness(order)
-            pbest_val[i] = val
-            if best_val is None or val < best_val:
-                best_val, best_head = val, order[0]
-        gbest_x = pbest_x[int(np.argmin(pbest_val))].copy()
-
-        for _ in range(p.iterations_dynamic):
-            r1 = rng.uniform(size=(swarm, w))
-            r2 = rng.uniform(size=(swarm, w))
-            v = p.inertia * v + p.c1 * r1 * (pbest_x - x) + p.c2 * r2 * (gbest_x - x)
-            np.clip(v, -p.velocity_clamp, p.velocity_clamp, out=v)
-            x = x + v
-            for i in range(swarm):
-                order = decode_priorities(x[i])
-                val = fitness(order)
-                if val < pbest_val[i]:
-                    pbest_val[i] = val
-                    pbest_x[i] = x[i].copy()
-                if val < best_val:
-                    best_val, best_head = val, order[0]
-            gbest_x = pbest_x[int(np.argmin(pbest_val))].copy()
-
-        return int(best_head)
+        _, ordering = swarm_search(
+            lambda order: replay_cost(order, avails, *columns, lam),
+            w, [range(w)], self._p.iterations_dynamic, self._p, self._rng,
+        )
+        return ordering[0]

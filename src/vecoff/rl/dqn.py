@@ -10,7 +10,6 @@ reported reward curves are always in raw units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,25 +127,32 @@ def _masked_max(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_episode(env, net: Mlp) -> float:
-    state, mask = env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        action = masked_argmax(net.forward(state), mask)
-        reward, nxt, done = env.step(action)
-        total += reward
-        if not done:
-            state, mask = nxt
-    return total
+def evaluate_snapshot(env, net: Mlp, episodes: int) -> float:
+    """Score of ``net`` at one evaluation point, higher is better.
+
+    Environments that provide ``snapshot_score`` (a held-out greedy
+    quality probe) define the score themselves; otherwise it is the mean
+    return of ``episodes`` fresh episodes under the masked-greedy policy
+    of ``net``.
+    """
+    scorer = getattr(env, "snapshot_score", None)
+    if scorer is not None:
+        return float(scorer(net, episodes))
+    returns = []
+    for _ in range(episodes):
+        state, mask = env.reset()
+        total = 0.0
+        done = False
+        while not done:
+            reward, nxt, done = env.step(masked_argmax(net.forward(state), mask))
+            total += reward
+            if not done:
+                state, mask = nxt
+        returns.append(total)
+    return float(np.mean(returns))
 
 
-def train_dqn(
-    env,
-    params: DqnParams,
-    seed: int = 0,
-    on_snapshot: "Callable[[int, Mlp], None] | None" = None,
-) -> TrainResult:
+def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
     """Train a Q-network on ``env`` and return the greedy policy.
 
     ``env`` follows the reset/step contract of the environments in this
@@ -161,13 +167,9 @@ def train_dqn(
     empty slot. Empty-slot picks shape the training curve but are not
     replayed, since no masked computation ever reads their values.
 
-    Every ``eval_every`` episodes the online network is scored and the
-    best-scoring snapshot becomes the returned policy. Environments that
-    provide ``snapshot_score`` (a held-out greedy quality probe) define
-    the score themselves; otherwise it is the mean greedy return over
-    ``eval_episodes`` fresh episodes. ``on_snapshot``, when given,
-    receives a clone of the online network at every evaluation point,
-    for checkpointing or offline snapshot selection. Raises
+    Every ``eval_every`` episodes the online network is scored by
+    ``evaluate_snapshot`` over ``eval_episodes`` episodes and the
+    best-scoring snapshot becomes the returned policy. Raises
     TrainingDiverged if values stop being finite.
     """
     enc: EncoderSpec = env.encoder
@@ -220,16 +222,8 @@ def train_dqn(
         reward_curve.append(ep_reward)
 
         if params.eval_every and (ep + 1) % params.eval_every == 0:
-            scorer = getattr(env, "snapshot_score", None)
-            if scorer is not None:
-                score = float(scorer(online, params.eval_episodes))
-            else:
-                score = float(
-                    np.mean([_greedy_episode(env, online) for _ in range(params.eval_episodes)])
-                )
+            score = evaluate_snapshot(env, online, params.eval_episodes)
             eval_curve.append((ep + 1, score))
-            if on_snapshot is not None:
-                on_snapshot(ep + 1, online.clone())
             if best_eval is None or score > best_eval:
                 best_eval = score
                 best_net = online.clone()

@@ -149,27 +149,26 @@ def masked_argmax(values: np.ndarray, mask: np.ndarray) -> int:
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Probabilities over masked-in entries; masked-out entries get 0."""
-    if not mask.any():
+    """Probabilities over masked-in entries along the last axis; masked-out
+    entries get 0. Every row needs at least one masked-in entry."""
+    if not mask.any(axis=-1).all():
         raise ValueError("mask admits no action")
     z = np.where(mask, logits, -np.inf)
-    z = z - z[mask].max()
-    e = np.where(mask, np.exp(z), 0.0)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class PolicyScheduler:
     """Deploy a trained policy greedily inside the engine.
 
     A value policy picks the highest masked action value; an actor-critic
-    policy picks the most probable masked action and also evaluates its
-    critic, keeping the state value in ``last_value`` for monitoring.
+    policy picks the most probable masked action. The critic only trains
+    the actor and is never evaluated here.
     """
 
     def __init__(self, policy: Policy):
         self.policy = policy
         self.name = policy.algorithm
-        self.last_value: float | None = None
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
         enc = self.policy.encoder
@@ -184,5 +183,4 @@ class PolicyScheduler:
             q = self.policy.networks["q"].forward(x)
             return masked_argmax(q, mask)
         probs = masked_softmax(self.policy.networks["actor"].forward(x), mask)
-        self.last_value = float(self.policy.networks["critic"].forward(x)[0])
         return masked_argmax(probs, mask)

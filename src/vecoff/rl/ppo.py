@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqn import REWARD_SCALE, TrainingDiverged, TrainResult
+from .dqn import REWARD_SCALE, TrainingDiverged, TrainResult, evaluate_snapshot
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
-from .policy import Policy, masked_argmax
+from .policy import Policy, masked_softmax
 
 
 @dataclass
@@ -50,30 +50,9 @@ class PpoParams:
             raise ValueError("rollout and minibatch must be positive")
 
 
-def _masked_softmax_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over masked-in entries. Every row needs one."""
-    neg = np.where(mask, logits, -np.inf)
-    z = neg - neg.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _sample_from(probs: np.ndarray, rng: np.random.Generator) -> int:
     cum = np.cumsum(probs)
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(probs) - 1))
-
-
-def _greedy_episode(env, actor: Mlp) -> float:
-    state, mask = env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        probs = _masked_softmax_rows(actor.forward(state)[None, :], mask[None, :])[0]
-        reward, nxt, done = env.step(masked_argmax(probs, mask))
-        total += reward
-        if not done:
-            state, mask = nxt
-    return total
 
 
 def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
@@ -111,7 +90,7 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
         values = np.zeros(n)
         t = 0
         while t < n:
-            probs = _masked_softmax_rows(actor.forward(state)[None, :], mask[None, :])[0]
+            probs = masked_softmax(actor.forward(state), mask)
             if not np.all(np.isfinite(probs[mask])):
                 raise TrainingDiverged("action probabilities are not finite")
             action = _sample_from(probs, rng)
@@ -131,13 +110,7 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
                 ep_reward = 0.0
                 ep = len(reward_curve)
                 if params.eval_every and ep % params.eval_every == 0:
-                    scorer = getattr(env, "snapshot_score", None)
-                    if scorer is not None:
-                        score = float(scorer(actor, params.eval_episodes))
-                    else:
-                        score = float(np.mean(
-                            [_greedy_episode(env, actor) for _ in range(params.eval_episodes)]
-                        ))
+                    score = evaluate_snapshot(env, actor, params.eval_episodes)
                     eval_curve.append((ep, score))
                     if best_eval is None or score > best_eval:
                         best_eval = score
@@ -220,7 +193,7 @@ def _update_actor(
 ) -> None:
     b = len(actions)
     logits, cache = actor.forward(states, want_cache=True)
-    probs = _masked_softmax_rows(logits, masks)
+    probs = masked_softmax(logits, masks)
     rows = np.arange(b)
     p_a = probs[rows, actions]
     if np.any(p_a <= 0.0) or not np.all(np.isfinite(p_a)):

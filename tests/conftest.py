@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,7 +14,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile("thorough", parent=settings.get_profile("default"), max_examples=300)
-settings.load_profile("default")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_task(

@@ -228,6 +228,25 @@ class TestMatrix:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_matrix(small_config(), algos=("lifo",), vehicle_counts=(20,), seeds=(1,))
 
+    def test_fixed_cost_schedules_are_pinned(self):
+        # exact objectives of the swarm and queue schedules; a refactor
+        # that moves any schedule by one task changes these
+        algos = ("fcfs", "sdf", "on-dyn-pso", "off-sta-pso")
+        report = run_matrix(
+            small_config(), algos=algos, vehicle_counts=(50,), seeds=(1, 2),
+            synthetic_costs={a: 1e-4 for a in algos},
+        )
+        assert {(r.algo, r.seed): r.objective for r in report.rows} == {
+            ("fcfs", 1): 24.452826478830207,
+            ("fcfs", 2): 22.255083239510636,
+            ("sdf", 1): 24.18596483094408,
+            ("sdf", 2): 22.255083239510636,
+            ("on-dyn-pso", 1): 23.719768126716335,
+            ("on-dyn-pso", 2): 22.169378166174017,
+            ("off-sta-pso", 1): 23.716008126716346,
+            ("off-sta-pso", 2): 22.16897816617402,
+        }
+
 
 class TestMakeScheduler:
     def test_heuristic_tags(self):

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecoff.domain import ChannelParams, MecState, SimConfig, TaskStatus
-from vecoff.engine import DecisionWindow, run_episode
+from vecoff.engine import DecisionWindow, run_episode, slack
 from vecoff.experiments import objective
 from vecoff.heuristics import (
     AssignmentPlan,
     DynamicPsoScheduler,
     FcfsScheduler,
-    PlanScheduler,
     PsoParams,
     SdfScheduler,
     brute_force_oracle,
@@ -21,8 +20,10 @@ from vecoff.heuristics import (
     induced_ordering,
     prepare_tasks,
     pso_optimize_static,
+    replay_cost,
     replay_ordering,
     sdf_select,
+    swarm_search,
     _ordering_to_position,
 )
 
@@ -122,6 +123,55 @@ class TestReplayOrdering:
         ]
         result = replay_ordering(tasks, (0, 1), 1)
         assert result.tasks[1].status is TaskStatus.DROPPED
+
+
+class TestReplayCost:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 20),
+        num_mecs=st.integers(1, 3),
+        tight=st.booleans(),
+        lam=st.floats(0.0, 1.0),
+    )
+    def test_matches_the_task_replay(self, seed, n, num_mecs, tight, lam):
+        rng = np.random.default_rng(seed)
+        base = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
+        order = tuple(rng.permutation(n).tolist())
+        args = (
+            order,
+            [0.0] * num_mecs,
+            [t.arrival for t in base],
+            [t.proc_time for t in base],
+            [t.comm_time for t in base],
+            [slack(t) for t in base],
+            lam,
+        )
+        reference = objective(replay_ordering(base, order, num_mecs), lam)
+        assert abs(replay_cost(*args) - reference) <= 1e-12
+        # summed in task order, as the objective sums, it is exact
+        assert replay_cost(*args, task_order=True) == reference
+
+    def test_replay_starts_from_the_given_availabilities(self):
+        # one server busy until 1.0: the task waits 1.0 and still fits
+        # its 2.5 s of slack; busy until 3.0 it cannot, and is dropped
+        args = ([0.0], [0.5], [0.1], [2.5], 0.4)
+        assert math.isclose(replay_cost((0,), [1.0], *args), 0.4 * (1.0 + 0.5 + 0.2))
+        assert replay_cost((0,), [3.0], *args) == 0.6
+
+
+class TestSwarmSearch:
+    def test_returns_the_best_ordering_it_scored(self):
+        rng = np.random.default_rng(4)
+        weights = rng.uniform(size=7)
+        scored = {}
+
+        def score(order):
+            scored[order] = float(sum(weights[pos] * rank for rank, pos in enumerate(order)))
+            return scored[order]
+
+        val, order = swarm_search(score, 7, [], 5, FAST_PSO, rng)
+        assert len(scored) > 1
+        assert val == scored[order] == min(scored.values())
 
 
 class TestBruteForceOracle:
@@ -265,20 +315,6 @@ class TestDynamicPso:
             make_task(1, arrival=0.0, proc=0.05, remaining=0.2, comm=0.01),
         ]
         assert sched.select(window_of(tasks), [MecState(id=1)], now=0.0) == 1
-
-
-class TestPlanScheduler:
-    def test_follows_plan_ranks(self):
-        tasks = [
-            make_task(0, arrival=0.0, proc=1.0, remaining=20.0, comm=0.1),
-            make_task(1, arrival=0.1, proc=1.0, remaining=20.0, comm=0.1),
-            make_task(2, arrival=0.2, proc=1.0, remaining=20.0, comm=0.1),
-        ]
-        sched = PlanScheduler(ordering=(2, 0, 1), tasks=tasks)
-        w = window_of(tasks)
-        assert sched.select(w, [MecState(id=1)], now=0.0) == 2
-        w2 = window_of(tasks[:2])
-        assert sched.select(w2, [MecState(id=1)], now=0.0) == 0
 
 
 class TestInducedOrdering:

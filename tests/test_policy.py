@@ -127,15 +127,14 @@ class TestPolicyScheduler:
         w = self.window(2)
         choice = sched.select(w, mecs, now=0.0)
         assert choice in (0, 1)
-        assert sched.last_value is None
 
-    def test_ppo_select_records_the_critic_value(self):
-        sched = PolicyScheduler(ppo_policy())
+    def test_ppo_select_reads_only_the_actor(self):
+        pol = ppo_policy()
+        critic = pol.networks["critic"]
+        critic.forward = lambda *a, **k: pytest.fail("select evaluated the critic")
         mecs = [MecState(id=1), MecState(id=2)]
-        assert sched.last_value is None
-        choice = sched.select(self.window(2), mecs, now=0.0)
+        choice = PolicyScheduler(pol).select(self.window(2), mecs, now=0.0)
         assert choice in (0, 1)
-        assert isinstance(sched.last_value, float)
 
     @pytest.mark.parametrize("build", [dqn_policy, ppo_policy])
     def test_loaded_policy_replays_identical_episodes(self, build, tmp_path, rng):
