@@ -35,7 +35,14 @@ from .experiments import (
     run_cell,
     run_matrix,
 )
-from .mobility import ScenarioGeometry, WorkloadModel, generate_trace, ingest_trace, spawn_tasks
+from .mobility import (
+    ScenarioGeometry,
+    Trace,
+    WorkloadModel,
+    generate_trace,
+    ingest_trace,
+    spawn_tasks,
+)
 
 __version__ = "0.1.0"
 
@@ -56,6 +63,7 @@ __all__ = [
     "SimConfig",
     "Task",
     "TaskStatus",
+    "Trace",
     "WorkloadModel",
     "allocate_bandwidth",
     "attach_comm_times",

@@ -1,11 +1,13 @@
 """Vehicle traces, coverage geometry, and task generation.
 
 Vehicles drive a straight road at constant per-vehicle speed and are
-sampled at 1 Hz from the moment they enter the road. The roadside unit
-covers a disc; a vehicle's deadline context is the instant it leaves that
-disc. Positions between samples are linear in time (speeds are constant),
-so range crossings are found exactly by solving the quadratic
-|p(t) - rsu|^2 = radius^2 on the bracketing segment.
+sampled at 1 Hz from the moment they enter the road. A trace is one
+columnar ``Trace``: arrays of time, vehicle id, position and speed, one
+entry per sample. The roadside unit covers a disc; a vehicle's deadline
+context is the instant it leaves that disc. Positions between samples are
+linear in time (speeds are constant), so range crossings are found exactly
+by solving the quadratic |p(t) - rsu|^2 = radius^2 on the bracketing
+segment; ``coverage`` does so for every vehicle in one pass over arrays.
 
 The geometry and workload defaults here are desk-scale placeholders chosen
 for a loaded-but-survivable RSU; they make no claim to match any particular
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -28,15 +30,33 @@ LANE_WIDTH_M = 3.5
 TRACE_HEADER = ["time", "vehicle_id", "x", "y", "speed"]
 
 
-@dataclass
-class TraceSample:
-    """One row of a floating-car trace."""
+@dataclass(eq=False)
+class Trace:
+    """A floating-car trace as columns, one entry per sample.
 
-    time: float
-    vehicle_id: int
-    x: float
-    y: float
-    speed: float
+    ``generate_trace`` emits the samples grouped by vehicle in time order;
+    an ingested file keeps its row order, which may interleave vehicles.
+    ``len`` counts samples, and two traces are equal when every column is.
+    """
+
+    time: np.ndarray
+    vehicle_id: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in TRACE_HEADER:
+            dtype = np.int64 if name == "vehicle_id" else np.float64
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Trace) and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in TRACE_HEADER
+        )
 
 
 @dataclass
@@ -158,9 +178,7 @@ class WorkloadModel:
         )
 
 
-def generate_trace(
-    geom: ScenarioGeometry, n_vehicles: int, seed: int
-) -> list[TraceSample]:
+def generate_trace(geom: ScenarioGeometry, n_vehicles: int, seed: int) -> Trace:
     """Synthesize a floating-car trace.
 
     Vehicles enter at x=0 with exponential headways (rate
@@ -176,49 +194,47 @@ def generate_trace(
     entries = np.cumsum(headways)
     lo, hi = geom.speed_range
     speeds = rng.uniform(lo, hi, size=n_vehicles)
-    samples: list[TraceSample] = []
-    for vid in range(n_vehicles):
-        speed = float(speeds[vid])
-        entry = float(entries[vid])
-        y = ((vid % geom.lanes) + 0.5) * LANE_WIDTH_M
-        k = 0
-        while speed * k < geom.road_length:
-            samples.append(
-                TraceSample(
-                    time=entry + k,
-                    vehicle_id=vid,
-                    x=speed * k,
-                    y=y,
-                    speed=speed,
-                )
-            )
-            k += 1
-    return samples
+    # a vehicle is sampled at k = 0, 1, ... while speed * k < road_length;
+    # start from the real quotient and settle the count on that float test
+    counts = np.ceil(geom.road_length / speeds).astype(np.int64)
+    while (over := speeds * (counts - 1) >= geom.road_length).any():
+        counts -= over
+    while (under := speeds * counts < geom.road_length).any():
+        counts += under
+    vid = np.repeat(np.arange(n_vehicles), counts)
+    k = np.arange(len(vid)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return Trace(
+        time=entries[vid] + k,
+        vehicle_id=vid,
+        x=speeds[vid] * k,
+        y=((vid % geom.lanes) + 0.5) * LANE_WIDTH_M,
+        speed=speeds[vid],
+    )
 
 
-def write_trace(samples: Iterable[TraceSample], path: str) -> None:
+def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for s in samples:
-            writer.writerow([repr(s.time), s.vehicle_id, repr(s.x), repr(s.y), repr(s.speed)])
+        columns = [getattr(trace, name).tolist() for name in TRACE_HEADER]
+        for t, vid, x, y, speed in zip(*columns):
+            writer.writerow([repr(t), vid, repr(x), repr(y), repr(speed)])
 
 
-def ingest_trace(path: str) -> list[TraceSample]:
+def ingest_trace(path: str) -> Trace:
     """Read a trace CSV, validating as it goes.
 
     A zero-byte or header-only file yields an empty trace. Malformed rows,
-    negative speeds, and non-monotonic per-vehicle timestamps raise
-    ValueError naming the offending line.
+    non-finite numbers, negative speeds, vehicle ids beyond 64 bits, and
+    non-monotonic per-vehicle timestamps raise ValueError naming the
+    offending line.
     """
-    samples: list[TraceSample] = []
+    rows: list[tuple[float, int, float, float, float]] = []
     last_time: dict[int, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            return []
-        if [c.strip() for c in header] != TRACE_HEADER:
+        if header is not None and [c.strip() for c in header] != TRACE_HEADER:
             raise ValueError(
                 f"{path}: line 1: expected header {','.join(TRACE_HEADER)}, "
                 f"got {','.join(header)}"
@@ -239,109 +255,87 @@ def ingest_trace(path: str) -> list[TraceSample]:
                 speed = float(row[4])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed row: {exc}") from None
+            if not all(map(math.isfinite, (t, x, y, speed))):
+                raise ValueError(f"{path}: line {lineno}: non-finite number in {','.join(row)}")
             if speed < 0:
                 raise ValueError(f"{path}: line {lineno}: negative speed {speed}")
+            if not -(2**63) <= vid < 2**63:
+                raise ValueError(f"{path}: line {lineno}: vehicle id {vid} exceeds 64 bits")
             if vid in last_time and t <= last_time[vid]:
                 raise ValueError(
                     f"{path}: line {lineno}: time {t} not increasing for vehicle {vid}"
                 )
             last_time[vid] = t
-            samples.append(TraceSample(time=t, vehicle_id=vid, x=x, y=y, speed=speed))
-    return samples
+            rows.append((t, vid, x, y, speed))
+    return Trace(*(list(zip(*rows)) or [()] * len(TRACE_HEADER)))
 
 
-def _crossings(
-    samples: Sequence[TraceSample], geom: ScenarioGeometry
-) -> tuple[float, float] | None:
-    """In-range interval (t_in, t_out) of one vehicle, or None.
+def coverage(
+    trace: Trace, geom: ScenarioGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """In-range intervals of every vehicle, solved over arrays.
 
-    Positions are linear between samples, so the squared distance to the
-    RSU is quadratic in time on each segment and crossings solve exactly.
-    If the vehicle is still inside coverage at its last sample, the
-    interval is closed at that sample: nothing past the trace is assumed.
+    Returns ``(vehicle_id, first_time, t_in, t_out)``, one entry per
+    vehicle in id order; ``first_time`` is its first sample time, and
+    ``t_in``/``t_out`` are NaN for a vehicle never in coverage. Rows are
+    grouped by vehicle with a stable sort, so they may arrive interleaved.
+
+    A vehicle whose first sample is inside enters at that sample.
+    Otherwise it enters at the first root in [0, 1] on a segment from
+    outside to inside, and it leaves at the first such root on a later
+    segment from inside to outside; a segment without a root in [0, 1] is
+    skipped. A vehicle still inside at its last sample leaves there:
+    nothing past the trace is assumed.
     """
-    if not samples:
-        return None
+    order = np.argsort(trace.vehicle_id, kind="stable")
+    vid, t, x, y = (c[order] for c in (trace.vehicle_id, trace.time, trace.x, trace.y))
+    new = np.diff(vid, prepend=vid[:1] - 1) != 0
+    first, group = np.flatnonzero(new), np.cumsum(new) - 1
+    last = np.flatnonzero(np.diff(vid, append=vid[-1:] + 1))
+
     r2 = geom.coverage_radius**2
+    ax, ay = x - geom.rsu_x, y - geom.rsu_y
+    dist2 = ax * ax + ay * ay
+    inside = dist2 <= r2
+    # float ** 2 is libm pow, which can differ from x * x by an ulp: settle
+    # the side of the disc with it wherever an ulp could matter
+    for i in np.flatnonzero(np.abs(dist2 - r2) <= 1e-9 * r2):
+        inside[i] = float(ax[i]) ** 2 + float(ay[i]) ** 2 <= r2
 
-    def dist2(s: TraceSample) -> float:
-        return (s.x - geom.rsu_x) ** 2 + (s.y - geom.rsu_y) ** 2
+    same, dt = ~new[1:], np.diff(t)
+    if (bad := same & (dt <= 0)).any():
+        raise ValueError(f"vehicle {vid[np.argmax(bad)]}: non-increasing sample times")
+    seg = np.flatnonzero(same & (inside[:-1] != inside[1:]))
+    # p(s) = a + s*(b-a), s in [0,1]; solve |p(s)-rsu|^2 = r^2 on each crossing
+    sax, say = ax[seg], ay[seg]
+    dx, dy = x[seg + 1] - x[seg], y[seg + 1] - y[seg]
+    qa = dx * dx + dy * dy
+    qb = 2 * (sax * dx + say * dy)
+    qc = sax * sax + say * say - r2
+    disc = qb * qb - 4 * qa * qc
+    real = (qa > 0) & (disc >= 0)
+    sq, den = np.sqrt(np.where(real, disc, 0.0)), np.where(real, 2 * qa, 1.0)
+    s1, s2 = (-qb - sq) / den, (-qb + sq) / den
+    hit1, hit2 = real & (0 <= s1) & (s1 <= 1), real & (0 <= s2) & (s2 <= 1)
+    hit = hit1 | hit2
+    seg, s_hit = seg[hit], np.where(hit1, s1, s2)[hit]
+    t_hit, g_hit = t[seg] + s_hit * dt[seg], group[seg]
 
-    t_in: float | None = None
-    if dist2(samples[0]) <= r2:
-        t_in = samples[0].time
-    for a, b in zip(samples, samples[1:]):
-        dt = b.time - a.time
-        if dt <= 0:
-            raise ValueError(f"vehicle {a.vehicle_id}: non-increasing sample times")
-        # p(s) = a + s*(b-a), s in [0,1]; solve |p(s)-rsu|^2 = r^2.
-        ax, ay = a.x - geom.rsu_x, a.y - geom.rsu_y
-        dx, dy = b.x - a.x, b.y - a.y
-        qa = dx * dx + dy * dy
-        qb = 2 * (ax * dx + ay * dy)
-        qc = ax * ax + ay * ay - r2
-        roots = []
-        if qa > 0:
-            disc = qb * qb - 4 * qa * qc
-            if disc >= 0:
-                sq = math.sqrt(disc)
-                roots = [(-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)]
-        for s in roots:
-            if 0 <= s <= 1:
-                t = a.time + s * dt
-                entering = dist2(a) > r2 and dist2(b) <= r2
-                leaving = dist2(a) <= r2 and dist2(b) > r2
-                if entering and t_in is None:
-                    t_in = t
-                elif leaving and t_in is not None:
-                    return (t_in, t)
-    if t_in is not None:
-        # never left coverage within the trace
-        return (t_in, samples[-1].time)
-    return None
-
-
-def vehicles_in_coverage(
-    trace: Sequence[TraceSample], geom: ScenarioGeometry
-) -> dict[int, tuple[float, float]]:
-    """Map vehicle id -> (t_in, t_out) for vehicles that enter coverage."""
-    by_vehicle: dict[int, list[TraceSample]] = {}
-    for s in trace:
-        by_vehicle.setdefault(s.vehicle_id, []).append(s)
-    out = {}
-    for vid in sorted(by_vehicle):
-        interval = _crossings(by_vehicle[vid], geom)
-        if interval is not None:
-            out[vid] = interval
-    return out
-
-
-def deadline_of(
-    arrival: float, samples: Sequence[TraceSample], geom: ScenarioGeometry
-) -> tuple[float, float]:
-    """(deadline, remaining_in_range) for a task arriving at ``arrival``.
-
-    The deadline is the instant the vehicle's distance to the RSU next
-    exceeds the coverage radius. A vehicle already out of range at
-    ``arrival`` yields remaining_in_range = 0. Raises if the vehicle never
-    enters coverage at all.
-    """
-    interval = _crossings(samples, geom)
-    if interval is None:
-        vid = samples[0].vehicle_id if samples else "?"
-        raise ValueError(f"vehicle {vid} never enters coverage")
-    t_in, t_out = interval
-    if arrival >= t_out:
-        return (arrival, 0.0)
-    remaining = t_out - max(arrival, t_in)
-    if arrival < t_in:
-        # a task generated before coverage is held until range entry
-        remaining = t_out - t_in
-    return (arrival + remaining, remaining)
+    starts_inside = inside[first]
+    t_in = np.where(starts_inside, t[first], np.nan)
+    entered_at = np.where(starts_inside, -1, len(vid))
+    enters = ~inside[seg] & ~starts_inside[g_hit]
+    g, i = np.unique(g_hit[enters], return_index=True)
+    t_in[g], entered_at[g] = t_hit[enters][i], seg[enters][i]
+    leaves = inside[seg] & (seg > entered_at[g_hit])
+    t_out = np.where(np.isnan(t_in), np.nan, t[last])
+    g, i = np.unique(g_hit[leaves], return_index=True)
+    t_out[g] = t_hit[leaves][i]
+    return vid[first], t[first], t_in, t_out
 
 
 def spawn_tasks(
-    trace: Sequence[TraceSample],
+    trace: Trace,
     geom: ScenarioGeometry,
     workload: WorkloadModel,
     tasks_per_vehicle: int,
@@ -359,23 +353,15 @@ def spawn_tasks(
     if tasks_per_vehicle < 1:
         raise ValueError(f"tasks_per_vehicle must be >= 1, got {tasks_per_vehicle}")
     rng = np.random.default_rng(seed)
-    by_vehicle: dict[int, list[TraceSample]] = {}
-    for s in trace:
-        by_vehicle.setdefault(s.vehicle_id, []).append(s)
-
     drafts = []
-    for vid in sorted(by_vehicle):
-        samples = by_vehicle[vid]
-        interval = _crossings(samples, geom)
+    for vid, gen, t_in, t_out in zip(*(c.tolist() for c in coverage(trace, geom))):
         # draws happen even for uncovered vehicles so that coverage does not
         # shift the random stream of later vehicles
-        gen = samples[0].time
         for _ in range(tasks_per_vehicle):
             gen += rng.exponential(1.0 / workload.poisson_rate)
             res = workload.resolutions[rng.integers(len(workload.resolutions))]
-            if interval is None:
+            if math.isnan(t_in):
                 continue
-            t_in, t_out = interval
             arrival = min(max(gen, t_in), t_out)
             remaining = t_out - arrival
             drafts.append(

@@ -62,8 +62,8 @@ class TestGenTrace:
         assert main(["gen-trace", "--vehicles", "5", "--seed", "3", "--out", str(a)]) == 0
         assert main(["gen-trace", "--vehicles", "5", "--seed", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        samples = ingest_trace(str(a))
-        assert {s.vehicle_id for s in samples} == set(range(5))
+        trace = ingest_trace(str(a))
+        assert set(trace.vehicle_id.tolist()) == set(range(5))
         assert "wrote" in capsys.readouterr().out
 
 
