@@ -23,13 +23,6 @@ from vecoff.rl import OffloadEnv, train_dqn, train_ppo
 from vecoff.rl.policy import save_policy
 
 
-def write_curve(path, curve):
-    with open(path, "w") as fh:
-        fh.write("episode,total_reward\n")
-        for ep, total in enumerate(curve, start=1):
-            fh.write(f"{ep},{total!r}\n")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="artifacts")
@@ -61,7 +54,7 @@ def main():
         wall = time.perf_counter() - t0
         policy_path = os.path.join(args.out_dir, f"{algo}_policy.json")
         save_policy(result.policy, policy_path)
-        write_curve(os.path.join(args.out_dir, f"{algo}_curve.csv"), result.reward_curve)
+        result.save_curve(os.path.join(args.out_dir, f"{algo}_curve.csv"))
         curve = result.reward_curve
         decile = max(1, len(curve) // 10)
         first = sum(curve[:decile]) / decile

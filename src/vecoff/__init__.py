@@ -25,13 +25,13 @@ from .engine import (
     EpisodeResult,
     Scheduler,
     SchedulingProtocolError,
+    objective,
     run_episode,
 )
 from .experiments import (
     ALGO_TAGS,
     MetricsReport,
     RunRow,
-    objective,
     run_cell,
     run_matrix,
 )

@@ -53,27 +53,6 @@ class BandwidthEvent:
     bandwidth_max: float
 
 
-def concurrent_set(
-    ready_tasks: Sequence[tuple[Task, float]],
-    t: float,
-    eps: float = EPS_SIMULTANEOUS,
-) -> ConcurrentSet:
-    """Collect the tasks whose ready instant coincides with ``t``.
-
-    ``ready_tasks`` pairs each task with the instant its transmission can
-    start. Raises if nothing is ready at ``t``: the caller asked about an
-    instant at which no transmission exists.
-    """
-    ids, sizes = [], []
-    for task, ready in ready_tasks:
-        if abs(ready - t) <= eps:
-            ids.append(task.id)
-            sizes.append(float(task.size))
-    if not ids:
-        raise ValueError(f"no task is ready for transmission at t={t}")
-    return ConcurrentSet(offload_time=t, task_ids=ids, sizes=sizes)
-
-
 def allocate_bandwidth(cset: ConcurrentSet, bandwidth_max: float) -> list[float]:
     """Split the band across one concurrent set.
 

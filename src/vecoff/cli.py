@@ -14,6 +14,7 @@ reports usage errors with exit code 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ExperimentConfig, default_config, load_config
@@ -113,21 +114,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.algo == "dqn":
-        params = config.dqn
-        if args.episodes:
-            params = type(params)(**{**params.__dict__, "episodes": args.episodes})
-        result = train_dqn(env, params, seed=args.seed)
+        params, train = config.dqn, train_dqn
     else:
-        params = config.ppo
-        if args.episodes:
-            params = type(params)(**{**params.__dict__, "episodes": args.episodes})
-        result = train_ppo(env, params, seed=args.seed)
+        params, train = config.ppo, train_ppo
+    if args.episodes:
+        params = dataclasses.replace(params, episodes=args.episodes)
+    result = train(env, params, seed=args.seed)
     save_policy(result.policy, args.out)
     if args.curve:
-        with open(args.curve, "w") as fh:
-            fh.write("episode,total_reward\n")
-            for ep, total in enumerate(result.reward_curve, start=1):
-                fh.write(f"{ep},{total!r}\n")
+        result.save_curve(args.curve)
     best = f", best eval {result.best_eval:.1f}" if result.best_eval is not None else ""
     print(
         f"trained {args.algo} for {len(result.reward_curve)} episodes{best}, "

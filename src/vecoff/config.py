@@ -1,15 +1,26 @@
 """One bundle for every knob an experiment needs.
 
-The sections mirror the package layout: simulation, road geometry,
-workload, radio channel, swarm search, the two trainers, and the state
-encoder. A config round-trips through canonical JSON, and
-``cross_validate`` checks the constraints that span sections, chiefly
-that the encoder contract agrees with the simulator shape.
+The sections mirror the package layout: ``sim``, ``geometry``,
+``workload``, ``channel``, ``pso``, ``dqn``, ``ppo`` and ``encoder``,
+plus the top-level ``train_vehicles``. One codec serves every section:
+``section_to_dict`` writes a section's fields under their names, and
+``section_from_dict`` reads them back, turning JSON lists into tuples.
+Two fields say in their metadata that they are stored differently:
+``SimConfig.lambda_weight`` under the key ``"lambda"`` (``"key"``) and
+``WorkloadModel.proc_time_table`` with ``"WxH"`` string keys (``"keys"``).
+
+A config file may leave out any field or section, which then takes its
+default. Loading rejects unknown sections and fields, and it gathers
+every problem into one ``ConfigError`` whose messages each start with
+the section's name. ``cross_validate`` checks the constraints that span
+sections, chiefly that the encoder contract agrees with the simulator
+shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,10 +30,6 @@ from .mobility import ScenarioGeometry, WorkloadModel
 from .rl.dqn import DqnParams
 from .rl.encoding import EncoderSpec
 from .rl.ppo import PpoParams
-
-_SECTIONS = (
-    "sim", "geometry", "workload", "channel", "pso", "dqn", "ppo", "encoder",
-)
 
 
 @dataclass
@@ -40,106 +47,154 @@ class ExperimentConfig:
     # regime the comparison matrix evaluates at its middle density
     train_vehicles: int = 100
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "sim": self.sim.to_dict(),
-            "geometry": self.geometry.to_dict(),
-            "workload": self.workload.to_dict(),
-            "channel": self.channel.to_dict(),
-            "pso": self.pso.to_dict(),
-            "dqn": _params_to_dict(self.dqn),
-            "ppo": _params_to_dict(self.ppo),
-            "encoder": self.encoder.to_dict(),
-            "train_vehicles": self.train_vehicles,
-        }
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ExperimentConfig":
-        known = set(_SECTIONS) | {"train_vehicles"}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError([f"unknown config section(s): {', '.join(unknown)}"])
-        kwargs: dict[str, Any] = {}
-        loaders = {
-            "sim": SimConfig.from_dict,
-            "geometry": ScenarioGeometry.from_dict,
-            "workload": WorkloadModel.from_dict,
-            "channel": ChannelParams.from_dict,
-            "pso": PsoParams.from_dict,
-            "dqn": lambda s: _params_from_dict(DqnParams, s),
-            "ppo": lambda s: _params_from_dict(PpoParams, s),
-            "encoder": EncoderSpec.from_dict,
-        }
-        for name, loader in loaders.items():
-            if name in d:
-                kwargs[name] = loader(d[name])
-        if "train_vehicles" in d:
-            kwargs["train_vehicles"] = d["train_vehicles"]
-        return cls(**kwargs)
+def section_to_dict(obj: Any) -> dict[str, Any]:
+    """A config dataclass as JSON-ready data, nested dataclasses included."""
+    out: dict[str, Any] = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            value = section_to_dict(value)
+        elif f.metadata.get("keys") == "WxH":
+            value = {f"{w}x{h}": v for (w, h), v in sorted(value.items())}
+        out[f.metadata.get("key", f.name)] = value
+    return out
 
 
-def _params_to_dict(params: Any) -> dict[str, Any]:
-    d = dataclasses.asdict(params)
-    if "hidden" in d:
-        d["hidden"] = list(d["hidden"])
-    return d
+def section_from_dict(cls: type, d: Any) -> Any:
+    """Build one section from its JSON object; missing fields take defaults.
+
+    Raises one ConfigError listing every unknown field, malformed
+    ``WxH`` key and violated invariant.
+    """
+    section, problems = _decode(cls, d)
+    if problems:
+        raise ConfigError(problems)
+    return section
 
 
-def _params_from_dict(cls: type, d: dict[str, Any]) -> Any:
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - names)
-    if unknown:
-        raise ConfigError(
-            [f"unknown {cls.__name__} field(s): {', '.join(unknown)}"]
-        )
-    kwargs = dict(d)
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
-    return cls(**kwargs)
+def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:
+    """The section built from the known fields of ``d`` (None when its
+    invariants reject them), and every problem found."""
+    if not isinstance(d, dict):
+        return None, [f"must be a JSON object, got {type(d).__name__}"]
+    by_key = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    problems: list[str] = []
+    kwargs: dict[str, Any] = {}
+    for key, value in d.items():
+        f = by_key.get(key)
+        if f is None:
+            problems.append(f"unknown field {key!r}")
+        elif f.metadata.get("keys") == "WxH":
+            kwargs[f.name] = _wxh_keyed(key, value, problems)
+        else:
+            kwargs[f.name] = _tupled(value)
+    try:
+        return cls(**kwargs), problems
+    except ConfigError as exc:
+        return None, problems + exc.violations
+    except (TypeError, ValueError) as exc:
+        return None, problems + [str(exc)]
+
+
+def _tupled(value: Any) -> Any:
+    if isinstance(value, list):
+        return tuple(_tupled(v) for v in value)
+    return value
+
+
+def _wxh_keyed(key: str, value: Any, problems: list[str]) -> dict[tuple[int, int], Any]:
+    if not isinstance(value, dict):
+        problems.append(f"{key} must be a JSON object, got {type(value).__name__}")
+        return {}
+    table = {}
+    for wxh, v in value.items():
+        w, x, h = wxh.partition("x")
+        if not (x and w.isdigit() and h.isdigit()):
+            problems.append(f"{key} key {wxh!r} is not of the form WxH")
+            continue
+        table[(int(w), int(h))] = v
+    return table
+
+
+def config_from_dict(d: Any) -> ExperimentConfig:
+    """Build a config from its JSON object, naming every problem at once."""
+    if not isinstance(d, dict):
+        raise ConfigError([f"config must be a JSON object, got {type(d).__name__}"])
+    sections = {
+        f.name: f.default_factory
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.default_factory is not dataclasses.MISSING
+    }
+    problems: list[str] = []
+    failed: set[str] = set()
+    kwargs: dict[str, Any] = {}
+    for name, value in d.items():
+        if name == "train_vehicles":
+            kwargs[name] = value
+        elif name not in sections:
+            problems.append(f"{name}: unknown config section")
+        else:
+            section, found = _decode(sections[name], value)
+            problems.extend(f"{name}: {p}" for p in found)
+            if section is None:
+                failed.add(name)
+            else:
+                kwargs[name] = section
+    config = ExperimentConfig(**kwargs)
+    problems.extend(_cross_problems(config, failed))
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def cross_validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Check constraints that span sections; collects every violation."""
-    violations: list[str] = []
+def _cross_problems(config: ExperimentConfig, failed: set[str]) -> list[str]:
+    """Violations of the checks that span sections. The encoder contract
+    is checked only when both ``sim`` and ``encoder`` could be built."""
+    problems: list[str] = []
     try:
         validate_config(config.sim)
     except ConfigError as exc:
-        violations.extend(exc.violations)
-    if config.encoder.num_mecs != config.sim.num_mecs:
-        violations.append(
-            f"encoder expects {config.encoder.num_mecs} servers but the "
-            f"simulation runs {config.sim.num_mecs}"
-        )
-    if config.encoder.window_cap != config.sim.window_cap:
-        violations.append(
-            f"encoder window cap {config.encoder.window_cap} differs from "
-            f"simulation window cap {config.sim.window_cap}"
-        )
-    if not isinstance(config.train_vehicles, int) or config.train_vehicles < 1:
-        violations.append(
-            f"train_vehicles must be an integer >= 1, got {config.train_vehicles!r}"
-        )
-    if violations:
-        raise ConfigError(violations)
+        problems.extend(f"sim: {v}" for v in exc.violations)
+    if not failed & {"sim", "encoder"}:
+        enc, sim = config.encoder, config.sim
+        if enc.num_mecs != sim.num_mecs:
+            problems.append(
+                f"encoder: num_mecs {enc.num_mecs!r} differs from sim.num_mecs "
+                f"{sim.num_mecs!r}"
+            )
+        if enc.window_cap != sim.window_cap:
+            problems.append(
+                f"encoder: window_cap {enc.window_cap!r} differs from "
+                f"sim.window_cap {sim.window_cap!r}"
+            )
+    tv = config.train_vehicles
+    if not isinstance(tv, int) or tv < 1:
+        problems.append(f"train_vehicles: must be an integer >= 1, got {tv!r}")
+    return problems
+
+
+def cross_validate(config: ExperimentConfig) -> ExperimentConfig:
+    """Check constraints that span sections; collects every violation."""
+    problems = _cross_problems(config, set())
+    if problems:
+        raise ConfigError(problems)
     return config
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps(config.to_dict()))
+        fh.write(dumps(section_to_dict(config)))
 
 
 def load_config(path: str) -> ExperimentConfig:
-    import json
-
     with open(path) as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: not JSON: {exc}"]) from exc
-    return cross_validate(ExperimentConfig.from_dict(d))
+    return config_from_dict(d)

@@ -21,15 +21,13 @@ class TaskStatus(str, Enum):
     """Lifecycle of a task at the roadside unit."""
 
     PENDING = "pending"
-    ASSIGNED = "assigned"
     COMPLETED = "completed"
     DROPPED = "dropped"
 
 
 # Legal lifecycle moves. Completed and Dropped are terminal.
 _TRANSITIONS = {
-    TaskStatus.PENDING: {TaskStatus.ASSIGNED, TaskStatus.DROPPED},
-    TaskStatus.ASSIGNED: {TaskStatus.COMPLETED},
+    TaskStatus.PENDING: {TaskStatus.COMPLETED, TaskStatus.DROPPED},
     TaskStatus.COMPLETED: frozenset(),
     TaskStatus.DROPPED: frozenset(),
 }
@@ -101,8 +99,8 @@ class Task:
             )
 
     def transition(self, new_status: TaskStatus) -> None:
-        """Move to ``new_status``, enforcing the pending->assigned->completed
-        / pending->dropped lifecycle."""
+        """Move to ``new_status``, enforcing the pending->completed /
+        pending->dropped lifecycle."""
         if new_status not in _TRANSITIONS[self.status]:
             raise LifecycleError(
                 f"task {self.id}: illegal transition {self.status.value} -> "
@@ -197,13 +195,6 @@ class ChannelParams:
     def snr(self) -> float:
         return self.tx_power * self.channel_gain / self.noise_density
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ChannelParams":
-        return cls(**d)
-
 
 @dataclass
 class SimConfig:
@@ -219,35 +210,12 @@ class SimConfig:
     """
 
     num_mecs: int = 2
-    lambda_weight: float = 0.4
+    lambda_weight: float = field(default=0.4, metadata={"key": "lambda"})
     num_vehicles: int = 50
     tasks_per_vehicle: int = 1
     rng_seed: int = 1
     window_cap: int = 16
     charge_exec_time: bool = True
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_mecs": self.num_mecs,
-            "lambda": self.lambda_weight,
-            "num_vehicles": self.num_vehicles,
-            "tasks_per_vehicle": self.tasks_per_vehicle,
-            "rng_seed": self.rng_seed,
-            "window_cap": self.window_cap,
-            "charge_exec_time": self.charge_exec_time,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SimConfig":
-        return cls(
-            num_mecs=d["num_mecs"],
-            lambda_weight=d["lambda"],
-            num_vehicles=d["num_vehicles"],
-            tasks_per_vehicle=d["tasks_per_vehicle"],
-            rng_seed=d["rng_seed"],
-            window_cap=d["window_cap"],
-            charge_exec_time=d["charge_exec_time"],
-        )
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
@@ -255,8 +223,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     violations = []
     if not isinstance(cfg.num_mecs, int) or cfg.num_mecs < 1:
         violations.append(f"num_mecs must be an integer >= 1, got {cfg.num_mecs!r}")
-    if not (0.0 <= cfg.lambda_weight <= 1.0):
-        violations.append(f"lambda must lie in [0, 1], got {cfg.lambda_weight!r}")
+    lam = cfg.lambda_weight
+    if not isinstance(lam, (int, float)) or not (0.0 <= lam <= 1.0):
+        violations.append(f"lambda must lie in [0, 1], got {lam!r}")
     if not isinstance(cfg.num_vehicles, int) or cfg.num_vehicles < 1:
         violations.append(f"num_vehicles must be an integer >= 1, got {cfg.num_vehicles!r}")
     if not isinstance(cfg.tasks_per_vehicle, int) or cfg.tasks_per_vehicle < 1:

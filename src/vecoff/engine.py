@@ -131,6 +131,36 @@ class EpisodeResult:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def objective(result: EpisodeResult, lambda_weight: float) -> float:
+    """Weighted latency-sum plus drop-fraction score (lower is better).
+
+    The scheduling objective weighs the sum of end-to-end latencies over
+    the served tasks against the fraction of dropped tasks:
+
+        lambda * sum(e2e latencies) + (1 - lambda) * drops / N
+
+    The latency term is an unnormalized sum of seconds, so reports carry
+    ``objective_normalized`` beside it as a dimension-free diagnostic; the
+    raw form is the one optimizers minimize.
+    """
+    n = result.num_tasks
+    if n == 0:
+        return 0.0
+    lat = sum(t.e2e_latency for t in result.completed)
+    return lambda_weight * lat + (1.0 - lambda_weight) * result.num_dropped / n
+
+
+def objective_normalized(result: EpisodeResult, lambda_weight: float) -> float:
+    """Objective with the latency sum scaled by N times the largest deadline."""
+    n = result.num_tasks
+    if n == 0:
+        return 0.0
+    lat = sum(t.e2e_latency for t in result.completed)
+    max_deadline = max(t.deadline for t in result.tasks)
+    scale = n * max_deadline if max_deadline > 0 else n
+    return lambda_weight * lat / scale + (1.0 - lambda_weight) * result.num_dropped / n
+
+
 class Scheduler(Protocol):
     """What the engine requires of a scheduling policy."""
 
@@ -212,14 +242,13 @@ def assign(task: Task, mec: MecState, at: float | None = None) -> float:
             f"task {task.id} assigned to server {mec.id} at {start} cannot "
             f"meet its deadline {task.deadline}"
         )
-    task.transition(TaskStatus.ASSIGNED)
+    task.transition(TaskStatus.COMPLETED)
     task.start_proc = start
     task.waiting = start - task.arrival
     task.comp_latency = task.proc_time + task.waiting
     task.e2e_latency = task.comp_latency + 2.0 * task.comm_time
     task.assigned_mec = mec.id
     mec.add_busy(start, start + task.proc_time)
-    task.transition(TaskStatus.COMPLETED)
     return start + task.proc_time
 
 

@@ -1,14 +1,8 @@
 """Comparison metrics and the experiment matrix.
 
-The scheduling objective weighs the sum of end-to-end latencies over the
-served tasks against the fraction of dropped tasks:
-
-    lambda * sum(e2e latencies) + (1 - lambda) * drops / N
-
-The latency term is an unnormalized sum of seconds, so a normalized
-variant (the sum divided by N times the largest task deadline) is reported
-alongside it as a dimension-free diagnostic; the raw form is the one
-optimizers minimize.
+Each report row carries the scheduling objective (``engine.objective``)
+and its normalized variant beside drop, latency and decision-time
+figures.
 
 ``run_matrix`` reproduces the comparative study shape: every algorithm on
 every traffic density, ten seeded runs each, with per-run rows plus a mean
@@ -22,14 +16,15 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .domain import SimConfig
-from .engine import EpisodeResult, run_episode
+from . import heuristics
+from .engine import EpisodeResult, objective, objective_normalized, run_episode
 from .mobility import generate_trace, spawn_tasks
+from .rl.policy import PolicyScheduler
 
 ALGO_TAGS = ("off-sta-pso", "on-dyn-pso", "dqn", "ppo", "fcfs", "sdf")
 DEFAULT_SEEDS = tuple(range(1, 11))
@@ -50,26 +45,6 @@ CSV_COLUMNS = [
     "per_window_exec_s",
     "log10_exec",
 ]
-
-
-def objective(result: EpisodeResult, lambda_weight: float) -> float:
-    """Weighted latency-sum plus drop-fraction score (lower is better)."""
-    n = result.num_tasks
-    if n == 0:
-        return 0.0
-    lat = sum(t.e2e_latency for t in result.completed)
-    return lambda_weight * lat + (1.0 - lambda_weight) * result.num_dropped / n
-
-
-def objective_normalized(result: EpisodeResult, lambda_weight: float) -> float:
-    """Objective with the latency sum scaled by N times the largest deadline."""
-    n = result.num_tasks
-    if n == 0:
-        return 0.0
-    lat = sum(t.e2e_latency for t in result.completed)
-    max_deadline = max(t.deadline for t in result.tasks)
-    scale = n * max_deadline if max_deadline > 0 else n
-    return lambda_weight * lat / scale + (1.0 - lambda_weight) * result.num_dropped / n
 
 
 def _log10_or_neg_inf(x: float) -> float:
@@ -252,9 +227,6 @@ def make_scheduler(
     RL tags need a trained policy in ``policies``; a fresh scheduler is
     built per call so stateful search seeds stay reproducible.
     """
-    from . import heuristics
-    from .rl.policy import PolicyScheduler
-
     policies = policies or {}
     if algo == "fcfs":
         return heuristics.FcfsScheduler()
@@ -313,18 +285,7 @@ def run_cell(
     ``seed_orderings`` warm-starts the offline swarm and is ignored by the
     online algorithms.
     """
-    from . import heuristics
-
-    cfg = config.sim
-    sim = SimConfig(
-        num_mecs=cfg.num_mecs,
-        lambda_weight=cfg.lambda_weight,
-        num_vehicles=vehicles,
-        tasks_per_vehicle=cfg.tasks_per_vehicle,
-        rng_seed=seed,
-        window_cap=cfg.window_cap,
-        charge_exec_time=cfg.charge_exec_time,
-    )
+    sim = replace(config.sim, num_vehicles=vehicles, rng_seed=seed)
     if tasks is None:
         _, tasks = build_episode_tasks(config, vehicles, seed)
 
@@ -369,8 +330,6 @@ def run_matrix(
     with the schedules they actually executed, which pins it to its role
     as the performance bound: it can only improve on them.
     """
-    from .heuristics import induced_ordering
-
     for algo in algos:
         if algo not in ALGO_TAGS:
             raise ValueError(f"unknown algorithm tag {algo!r}")
@@ -400,7 +359,7 @@ def run_matrix(
                 )
                 cell_rows.append(row)
                 if algo != "off-sta-pso":
-                    executed[seed].append(induced_ordering(result))
+                    executed[seed].append(heuristics.induced_ordering(result))
             rows_by_algo[algo] = cell_rows
         # report in the caller's algorithm order, not execution order
         for algo in algos:

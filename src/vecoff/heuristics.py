@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +35,9 @@ from .engine import (
     assign,
     earliest_availability,
     is_feasible_at,
+    objective,
     slack,
 )
-from .experiments import objective
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -53,15 +53,6 @@ class PsoParams:
     c1: float = 1.49
     c2: float = 1.49
     velocity_clamp: float = 1.0
-
-    def to_dict(self) -> dict[str, Any]:
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PsoParams":
-        return cls(**d)
 
 
 @dataclass

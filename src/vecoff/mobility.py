@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -91,23 +90,6 @@ class ScenarioGeometry:
         if violations:
             raise ConfigError(violations)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rsu_x": self.rsu_x,
-            "rsu_y": self.rsu_y,
-            "coverage_radius": self.coverage_radius,
-            "road_length": self.road_length,
-            "lanes": self.lanes,
-            "speed_range": list(self.speed_range),
-            "entry_rate": self.entry_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScenarioGeometry":
-        d = dict(d)
-        d["speed_range"] = tuple(d["speed_range"])
-        return cls(**d)
-
 
 # Per-frame processing time on an edge server, by input resolution.
 DEFAULT_PROC_TIME_TABLE = {
@@ -131,7 +113,7 @@ class WorkloadModel:
     resolutions: tuple[tuple[int, int], ...] = ((224, 224), (640, 480), (1280, 720))
     bits_per_pixel: int = 24
     proc_time_table: dict[tuple[int, int], float] = field(
-        default_factory=lambda: dict(DEFAULT_PROC_TIME_TABLE)
+        default_factory=lambda: dict(DEFAULT_PROC_TIME_TABLE), metadata={"keys": "WxH"}
     )
 
     def __post_init__(self) -> None:
@@ -153,29 +135,6 @@ class WorkloadModel:
     def task_size(self, resolution: tuple[int, int]) -> int:
         w, h = resolution
         return w * h * self.bits_per_pixel
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "poisson_rate": self.poisson_rate,
-            "resolutions": [list(r) for r in self.resolutions],
-            "bits_per_pixel": self.bits_per_pixel,
-            "proc_time_table": {
-                f"{w}x{h}": t for (w, h), t in sorted(self.proc_time_table.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "WorkloadModel":
-        table = {}
-        for key, t in d["proc_time_table"].items():
-            w, h = key.split("x")
-            table[(int(w), int(h))] = t
-        return cls(
-            poisson_rate=d["poisson_rate"],
-            resolutions=tuple(tuple(r) for r in d["resolutions"]),
-            bits_per_pixel=d["bits_per_pixel"],
-            proc_time_table=table,
-        )
 
 
 def generate_trace(geom: ScenarioGeometry, n_vehicles: int, seed: int) -> Trace:

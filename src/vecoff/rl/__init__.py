@@ -1,7 +1,7 @@
 """Learning schedulers: state encoding, reward shaping, numpy networks,
 value-based and policy-gradient training, and policy persistence."""
 
-from .encoding import EncoderSpec, StateVector, encode_state
+from .encoding import EncoderSpec, encode_state
 from .reward import RewardBreakdown, decision_reward
 from .nets import Adam, Mlp
 from .policy import (
@@ -18,7 +18,6 @@ from .envs import OffloadEnv, ToyTwoActionEnv
 
 __all__ = [
     "EncoderSpec",
-    "StateVector",
     "encode_state",
     "RewardBreakdown",
     "decision_reward",

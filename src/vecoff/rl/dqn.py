@@ -75,6 +75,13 @@ class TrainResult:
     eval_curve: list[tuple[int, float]] = field(default_factory=list)
     best_eval: float | None = None
 
+    def save_curve(self, path: str) -> None:
+        """Write the reward curve as CSV rows ``episode,total_reward``."""
+        with open(path, "w") as fh:
+            fh.write("episode,total_reward\n")
+            for ep, total in enumerate(self.reward_curve, start=1):
+                fh.write(f"{ep},{total!r}\n")
+
 
 class ReplayBuffer:
     """Fixed-capacity circular transition store on preallocated arrays."""

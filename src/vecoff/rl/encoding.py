@@ -13,7 +13,7 @@ mask marks which slots hold real tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,46 +51,19 @@ class EncoderSpec:
     def action_dim(self) -> int:
         return self.window_cap
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_mecs": self.num_mecs,
-            "window_cap": self.window_cap,
-            "time_scale": self.time_scale,
-            "proc_scale": self.proc_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EncoderSpec":
-        return cls(**d)
-
-
-@dataclass
-class StateVector:
-    """Structured view of one encoded state.
-
-    ``mec_avail`` has shape (M,), ``slots`` (window_cap, 3), ``flags``
-    (window_cap,). ``as_vector`` flattens them in that order, which is the
-    layout every network in this package consumes.
-    """
-
-    mec_avail: np.ndarray
-    slots: np.ndarray
-    flags: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.mec_avail, self.slots.ravel(), self.flags])
-
 
 def encode_state(
     mecs: Sequence[MecState],
     window: DecisionWindow,
     now: float,
     enc: EncoderSpec,
-) -> tuple[StateVector, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Encode one decision point. Pure: touches neither window nor servers.
 
-    Returns the state and the boolean action mask (True where a slot holds
-    a selectable task).
+    Returns the state vector, laid out as the M server availabilities,
+    then the ``window_cap`` slot triples row by row, then the
+    ``window_cap`` validity flags, and the boolean action mask (True
+    where a slot holds a selectable task).
     """
     if len(mecs) != enc.num_mecs:
         raise ValueError(
@@ -99,14 +72,15 @@ def encode_state(
     feas = window.feasible
     if not feas:
         raise ValueError("cannot encode an empty window")
-    mec_avail = np.array(
-        [(m.available_at - now) / enc.time_scale for m in mecs], dtype=np.float64
-    )
-    slots = np.zeros((enc.window_cap, 3), dtype=np.float64)
-    flags = np.zeros(enc.window_cap, dtype=np.float64)
+    m = enc.num_mecs
+    flags = m + 3 * enc.window_cap
+    state = np.zeros(enc.state_dim, dtype=np.float64)
+    for j, mec in enumerate(mecs):
+        state[j] = (mec.available_at - now) / enc.time_scale
     for i, t in enumerate(feas[: enc.window_cap]):
-        slots[i, 0] = (t.arrival - now) / enc.time_scale
-        slots[i, 1] = (t.deadline - now) / enc.time_scale
-        slots[i, 2] = t.proc_time / enc.proc_scale
-        flags[i] = 1.0
-    return StateVector(mec_avail=mec_avail, slots=slots, flags=flags), flags > 0.0
+        slot = m + 3 * i
+        state[slot] = (t.arrival - now) / enc.time_scale
+        state[slot + 1] = (t.deadline - now) / enc.time_scale
+        state[slot + 2] = t.proc_time / enc.proc_scale
+        state[flags + i] = 1.0
+    return state, state[flags:] > 0.0

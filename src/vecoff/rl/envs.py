@@ -19,9 +19,16 @@ import numpy as np
 
 from ..channel import ChannelParams, attach_comm_times
 from ..domain import MecState, SimConfig, Task
-from ..engine import DecisionPoint, DecisionWindow, EpisodeResult, episode_loop
+from ..engine import (
+    DecisionPoint,
+    DecisionWindow,
+    EpisodeResult,
+    episode_loop,
+    objective,
+)
 from ..mobility import ScenarioGeometry, WorkloadModel, generate_trace, spawn_tasks
 from .encoding import EncoderSpec, encode_state
+from .policy import masked_argmax
 from .reward import decision_reward
 
 Obs = tuple[np.ndarray, np.ndarray]
@@ -96,8 +103,7 @@ class OffloadEnv:
             self._loop = loop
             self._point = point
             self.episodes_seen += 1
-            state, mask = encode_state(point.mecs, point.window, point.now, self.encoder)
-            return state.as_vector(), mask
+            return encode_state(point.mecs, point.window, point.now, self.encoder)
         raise RuntimeError(
             f"no decision windows in {self.max_regen} redraws; "
             "scenario has no contention"
@@ -124,8 +130,7 @@ class OffloadEnv:
             self._point = None
             return reward, None, True
         self._point = point
-        state, mask = encode_state(point.mecs, point.window, point.now, self.encoder)
-        return reward, (state.as_vector(), mask), False
+        return reward, encode_state(point.mecs, point.window, point.now, self.encoder), False
 
     def snapshot_score(self, net, episodes: int = 10) -> float:
         """Greedy scheduling quality of ``net``, as a score to maximize.
@@ -139,9 +144,6 @@ class OffloadEnv:
         amount and unchosen tasks come back in later windows, while the
         objective is the quantity schedulers actually compete on.
         """
-        from ..experiments import objective
-        from .policy import masked_argmax
-
         env = OffloadEnv(
             self.geometry, self.workload, self.sim, self.channel,
             self.encoder, self.vehicles, seed=self._seed + 1_000_003,
@@ -207,8 +209,7 @@ class ToyTwoActionEnv:
             earliest_avail=0.0,
         )
         self.best_action = best
-        state, mask = encode_state(self._mecs, self._window, 0.0, self.encoder)
-        return state.as_vector(), mask
+        return encode_state(self._mecs, self._window, 0.0, self.encoder)
 
     def step(self, action: int) -> tuple[float, Obs | None, bool]:
         if self._window is None:

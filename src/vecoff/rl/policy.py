@@ -177,8 +177,7 @@ class PolicyScheduler:
                 f"policy was trained for {enc.num_mecs} servers, "
                 f"simulation runs {len(mecs)}"
             )
-        state, mask = encode_state(mecs, window, now, enc)
-        x = state.as_vector()
+        x, mask = encode_state(mecs, window, now, enc)
         if self.policy.algorithm == "dqn":
             q = self.policy.networks["q"].forward(x)
             return masked_argmax(q, mask)

@@ -10,7 +10,6 @@ from vecoff.channel import (
     allocate_bandwidth,
     attach_comm_times,
     comm_time,
-    concurrent_set,
     group_ready_instants,
     rate,
 )
@@ -27,23 +26,20 @@ def pair(tid, ready, size):
 class TestConcurrentSets:
     def test_three_ready_at_same_instant(self):
         items = [pair(0, 5.0, 1e6), pair(1, 5.0, 2e6), pair(2, 5.0, 3e6), pair(3, 6.0, 1e6)]
-        cs = concurrent_set(items, 5.0)
-        assert len(cs) == 3
-        assert cs.task_ids == [0, 1, 2]
+        first, second = group_ready_instants(items)
+        assert first.task_ids == [0, 1, 2]
+        assert first.sizes == [1e6, 2e6, 3e6]
+        assert second.task_ids == [3]
 
     def test_single_ready_task(self):
-        cs = concurrent_set([pair(0, 5.0, 1e6), pair(1, 6.0, 1e6)], 6.0)
-        assert len(cs) == 1
-        assert cs.task_ids == [1]
+        groups = group_ready_instants([pair(0, 5.0, 1e6), pair(1, 6.0, 1e6)])
+        assert [(g.offload_time, g.task_ids) for g in groups] == [(5.0, [0]), (6.0, [1])]
 
     def test_within_tolerance_is_same_set(self):
         dt = EPS_SIMULTANEOUS / 2
-        cs = concurrent_set([pair(0, 5.0, 1e6), pair(1, 5.0 + dt, 1e6)], 5.0)
+        (cs,) = group_ready_instants([pair(0, 5.0, 1e6), pair(1, 5.0 + dt, 1e6)])
         assert len(cs) == 2
-
-    def test_no_ready_task_raises(self):
-        with pytest.raises(ValueError):
-            concurrent_set([pair(0, 5.0, 1e6)], 9.0)
+        assert cs.offload_time == 5.0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

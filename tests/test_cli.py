@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vecoff
 from vecoff.cli import _parse_cost_arg, _parse_policy_args, main
 from vecoff.config import default_config, save_config
 from vecoff.experiments import ALGO_TAGS, MetricsReport
@@ -65,6 +69,27 @@ class TestGenTrace:
         trace = ingest_trace(str(a))
         assert set(trace.vehicle_id.tolist()) == set(range(5))
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section, body", [
+        ("geometry", {"lane": 3}),
+        ("pso", {"swarm": 3}),
+        ("sim", {"num_mec": 3}),
+        ("sim", [1]),
+    ])
+    def test_bad_config_names_the_section(self, tmp_path, section, body):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: body}))
+        src = os.path.dirname(os.path.dirname(vecoff.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vecoff.cli", "gen-trace", "--config", str(bad),
+             "--out", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {section}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestRun:

@@ -1,0 +1,140 @@
+import json
+
+import pytest
+
+from vecoff.config import (
+    ExperimentConfig,
+    default_config,
+    load_config,
+    save_config,
+)
+from vecoff.domain import ChannelParams, ConfigError, SimConfig
+from vecoff.heuristics import PsoParams
+from vecoff.mobility import ScenarioGeometry, WorkloadModel
+from vecoff.rl.dqn import DqnParams
+from vecoff.rl.encoding import EncoderSpec
+from vecoff.rl.ppo import PpoParams
+
+SECTIONS = ("sim", "geometry", "workload", "channel", "pso", "dqn", "ppo", "encoder")
+
+# save_config(default_config()) as written before the sections shared one codec
+DEFAULT_CONFIG_JSON = (
+    '{"channel":{"bandwidth_max":20000000.0,"channel_gain":1.0,"noise_density":1.0,'
+    '"tx_power":1.0},"dqn":{"batch_size":64,"episodes":2500,"eps_anneal_frac":0.6,'
+    '"eps_end":0.05,"eps_start":1.0,"eval_episodes":10,"eval_every":50,'
+    '"explore_full_frac":0.5,"gamma":0.9,"hidden":[128,128],"lr":0.0001,'
+    '"replay_capacity":50000,"target_sync":500,"updates_per_step":1,"warmup":128},'
+    '"encoder":{"num_mecs":2,"proc_scale":1.0,"time_scale":10.0,"window_cap":16},'
+    '"geometry":{"coverage_radius":250.0,"entry_rate":10.0,"lanes":2,'
+    '"road_length":1000.0,"rsu_x":500.0,"rsu_y":0.0,"speed_range":[20.0,30.0]},'
+    '"ppo":{"clip":0.2,"entropy_coef":0.01,"episodes":2500,"epochs":10,'
+    '"eval_episodes":10,"eval_every":50,"gae_lambda":0.95,"gamma":0.95,'
+    '"hidden":[128,128],"lr_actor":0.0003,"lr_critic":0.0003,"minibatch":64,'
+    '"rollout":2048},"pso":{"c1":1.49,"c2":1.49,"inertia":0.729,'
+    '"iterations_dynamic":30,"iterations_static":100,"swarm_size":50,'
+    '"velocity_clamp":1.0},"sim":{"charge_exec_time":true,"lambda":0.4,"num_mecs":2,'
+    '"num_vehicles":50,"rng_seed":1,"tasks_per_vehicle":1,"window_cap":16},'
+    '"train_vehicles":100,"workload":{"bits_per_pixel":24,"poisson_rate":0.1,'
+    '"proc_time_table":{"1280x720":0.4,"224x224":0.05,"640x480":0.15},'
+    '"resolutions":[[224,224],[640,480],[1280,720]]}}\n'
+)
+
+
+def write_json(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_default_config_bytes_are_unchanged(tmp_path):
+    path = tmp_path / "config.json"
+    save_config(default_config(), str(path))
+    assert path.read_text() == DEFAULT_CONFIG_JSON
+    assert load_config(str(path)) == default_config()
+
+
+def test_non_default_config_round_trips(tmp_path):
+    config = ExperimentConfig(
+        sim=SimConfig(num_mecs=3, lambda_weight=0.7, num_vehicles=80,
+                      tasks_per_vehicle=2, rng_seed=9, window_cap=12,
+                      charge_exec_time=False),
+        geometry=ScenarioGeometry(rsu_x=400.0, rsu_y=5.0, coverage_radius=200.0,
+                                  road_length=900.0, lanes=3, speed_range=(15.0, 25.0),
+                                  entry_rate=4.0),
+        workload=WorkloadModel(poisson_rate=0.3, resolutions=((320, 240), (640, 480)),
+                               bits_per_pixel=16,
+                               proc_time_table={(320, 240): 0.07, (640, 480): 0.2}),
+        channel=ChannelParams(bandwidth_max=10e6, tx_power=2.0, channel_gain=0.5,
+                              noise_density=0.25),
+        pso=PsoParams(swarm_size=12, iterations_static=7, iterations_dynamic=3,
+                      inertia=0.6, c1=1.2, c2=1.3, velocity_clamp=0.5),
+        dqn=DqnParams(episodes=40, lr=1e-3, hidden=(64, 32), eval_every=10),
+        ppo=PpoParams(episodes=30, clip=0.1, hidden=(32,), eval_episodes=4),
+        encoder=EncoderSpec(num_mecs=3, window_cap=12, time_scale=5.0, proc_scale=2.0),
+        train_vehicles=60,
+    )
+    path = tmp_path / "config.json"
+    save_config(config, str(path))
+    loaded = load_config(str(path))
+    assert loaded == config
+    assert loaded.workload.resolutions == ((320, 240), (640, 480))
+    assert loaded.dqn.hidden == (64, 32)
+
+
+def test_every_problem_is_named_with_its_section(tmp_path):
+    path = write_json(tmp_path, {
+        "sim": {"num_mec": 3, "lambda": 2.0},
+        "geometry": {"lane": 1},
+        "workload": {"proc_time_table": {"640-480": 0.15}},
+        "channel": {"tx_power": 0.0},
+        "pso": {"swarm": 3},
+        "dqn": {"episodes": 0},
+        "ppo": [1],
+        "encoder": {"window_cap": 8},
+        "extra": {},
+        "train_vehicles": 0,
+    })
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    problems = err.value.violations
+    planted = [
+        ("sim", "unknown field 'num_mec'"),
+        ("sim", "lambda must lie in [0, 1]"),
+        ("geometry", "unknown field 'lane'"),
+        ("workload", "'640-480' is not of the form WxH"),
+        ("channel", "tx_power must be positive"),
+        ("pso", "unknown field 'swarm'"),
+        ("dqn", "episodes must be positive"),
+        ("ppo", "must be a JSON object"),
+        ("encoder", "window_cap 8 differs from sim.window_cap 16"),
+        ("extra", "unknown config section"),
+        ("train_vehicles", "must be an integer >= 1"),
+    ]
+    for section, fragment in planted:
+        assert any(p.startswith(f"{section}: ") and fragment in p for p in problems), (
+            section, fragment, problems)
+    named = (*SECTIONS, "extra", "train_vehicles")
+    assert all(p.split(": ", 1)[0] in named for p in problems), problems
+
+
+def test_missing_fields_and_sections_take_defaults(tmp_path):
+    path = write_json(tmp_path, {
+        "sim": {"num_mecs": 3},
+        "encoder": {"num_mecs": 3},
+        "workload": {"poisson_rate": 0.2},
+    })
+    config = load_config(path)
+    assert config.sim == SimConfig(num_mecs=3)
+    assert config.encoder == EncoderSpec(num_mecs=3)
+    assert config.workload == WorkloadModel(poisson_rate=0.2)
+    assert config.geometry == ScenarioGeometry()
+    assert config.dqn == DqnParams()
+    assert config.train_vehicles == 100
+    assert load_config(write_json(tmp_path, {})) == default_config()
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_section_that_is_not_an_object_is_rejected(tmp_path, section):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_json(tmp_path, {section: [1]}))
+    assert err.value.violations == [f"{section}: must be a JSON object, got list"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecoff.config import section_from_dict, section_to_dict
 from vecoff.domain import ChannelParams, MecState, SimConfig, TaskStatus
 from vecoff.engine import DecisionWindow, run_episode, slack
 from vecoff.experiments import objective
@@ -343,4 +344,4 @@ class TestInducedOrdering:
 class TestPsoParams:
     def test_round_trip(self):
         p = PsoParams(swarm_size=12, iterations_static=7)
-        assert PsoParams.from_dict(p.to_dict()) == p
+        assert section_from_dict(PsoParams, section_to_dict(p)) == p

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 from collections import namedtuple
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecoff.config import default_config
-from vecoff.domain import ConfigError
+from vecoff.config import default_config, section_from_dict, section_to_dict
+from vecoff.domain import ConfigError, dumps
 from vecoff.experiments import build_episode_tasks
 from vecoff.mobility import (
     TRACE_HEADER,
@@ -380,8 +381,13 @@ class TestWorkloadModel:
             WorkloadModel(resolutions=((64, 64),))
 
     def test_round_trip(self):
-        wl = WorkloadModel()
-        assert WorkloadModel.from_dict(wl.to_dict()) == wl
+        wl = WorkloadModel(
+            resolutions=((320, 240), (640, 480)),
+            proc_time_table={(320, 240): 0.08, (640, 480): 0.15},
+        )
+        d = json.loads(dumps(section_to_dict(wl)))
+        assert d["proc_time_table"] == {"320x240": 0.08, "640x480": 0.15}
+        assert section_from_dict(WorkloadModel, d) == wl
 
 
 class TestSpawnTasks:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vecoff.config import section_from_dict, section_to_dict
 from vecoff.domain import ConfigError, MecState
 from vecoff.engine import DecisionWindow
 from vecoff.rl.encoding import EncoderSpec, encode_state
@@ -38,7 +39,7 @@ class TestEncoderSpec:
 
     def test_round_trip(self):
         enc = EncoderSpec(num_mecs=3, window_cap=5, time_scale=2.0, proc_scale=0.5)
-        assert EncoderSpec.from_dict(enc.to_dict()) == enc
+        assert section_from_dict(EncoderSpec, section_to_dict(enc)) == enc
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -57,21 +58,29 @@ class TestEncodeState:
         mecs = [MecState(id=1, available_at=12.0), MecState(id=2, available_at=15.0)]
         t = make_task(0, arrival=11.0, proc=0.4, remaining=9.0, comm=0.1)
         state, mask = encode_state(mecs, window_at([t], 12.0), now=12.0, enc=self.enc())
-        assert state.mec_avail.tolist() == [0.0, 0.3]
-        assert state.slots[0].tolist() == [-0.1, (20.0 - 12.0) / 10.0, 0.4]
-        assert state.slots[1:].tolist() == [[0.0, 0.0, 0.0]] * 7
-        assert state.flags.tolist() == [1.0] + [0.0] * 7
+        assert state[:2].tolist() == [0.0, 0.3]
+        assert state[2:5].tolist() == [-0.1, (20.0 - 12.0) / 10.0, 0.4]
+        assert state[5:26].tolist() == [0.0] * 21
+        assert state[26:].tolist() == [1.0] + [0.0] * 7
         assert mask.tolist() == [True] + [False] * 7
 
     def test_vector_layout(self):
-        mecs = [MecState(id=1), MecState(id=2)]
-        t = make_task(0, arrival=0.0, proc=0.4, remaining=9.0, comm=0.1)
-        state, _ = encode_state(mecs, window_at([t]), now=0.0, enc=self.enc())
-        vec = state.as_vector()
-        assert vec.shape == (self.enc().state_dim,)
-        assert vec[:2].tolist() == state.mec_avail.tolist()
-        assert vec[2:26].tolist() == state.slots.ravel().tolist()
-        assert vec[26:].tolist() == state.flags.tolist()
+        tasks = [
+            make_task(i, arrival=0.5 * i, proc=0.4 + i, remaining=9.0, comm=0.1)
+            for i in range(3)
+        ]
+        mecs = [MecState(id=1, available_at=2.0), MecState(id=2, available_at=4.0)]
+        vec, mask = encode_state(mecs, window_at(tasks), now=1.0, enc=self.enc())
+        assert vec.shape == (self.enc().state_dim,) and vec.dtype == np.float64
+        assert vec[:2].tolist() == [0.1, 0.3]
+        slots = vec[2:26].reshape(8, 3)
+        assert slots[:3].tolist() == [
+            [(0.5 * i - 1.0) / 10.0, (0.5 * i + 9.0 - 1.0) / 10.0, 0.4 + i]
+            for i in range(3)
+        ]
+        assert not slots[3:].any()
+        assert vec[26:].tolist() == [1.0] * 3 + [0.0] * 5
+        assert mask.tolist() == [True] * 3 + [False] * 5
 
     def test_overflowing_window_is_truncated(self):
         mecs = [MecState(id=1), MecState(id=2)]
@@ -81,7 +90,7 @@ class TestEncodeState:
         ]
         state, mask = encode_state(mecs, window_at(tasks), now=1.0, enc=self.enc())
         assert mask.sum() == 8
-        assert state.flags.sum() == 8.0
+        assert state[26:].sum() == 8.0
 
     def test_purity(self):
         mecs = [MecState(id=1, available_at=3.0), MecState(id=2)]
