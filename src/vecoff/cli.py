@@ -103,6 +103,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .rl.policy import save_policy
     from .rl.ppo import train_ppo
 
+    for flag, value in (("--vehicles", args.vehicles), ("--episodes", args.episodes)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be positive, got {value}")
     config = _config_from(args)
     env = OffloadEnv(
         geometry=config.geometry,
@@ -110,14 +113,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         sim=config.sim,
         channel=config.channel,
         encoder=config.encoder,
-        vehicles=args.vehicles or config.train_vehicles,
+        vehicles=config.train_vehicles if args.vehicles is None else args.vehicles,
         seed=args.seed,
     )
     if args.algo == "dqn":
         params, train = config.dqn, train_dqn
     else:
         params, train = config.ppo, train_ppo
-    if args.episodes:
+    if args.episodes is not None:
         params = dataclasses.replace(params, episodes=args.episodes)
     result = train(env, params, seed=args.seed)
     save_policy(result.policy, args.out)

@@ -1,5 +1,5 @@
-"""Learning schedulers: state encoding, reward shaping, numpy networks,
-value-based and policy-gradient training, and policy persistence."""
+"""Learning schedulers: state encoding, reward shaping, numpy networks, training
+environments, DQN and PPO over one snapshot keeper, and policy persistence."""
 
 from .encoding import EncoderSpec, encode_state
 from .reward import RewardBreakdown, decision_reward
@@ -12,7 +12,8 @@ from .policy import (
     load_policy,
     save_policy,
 )
-from .dqn import DqnParams, TrainResult, TrainingDiverged, train_dqn
+from .training import TrainResult, TrainingDiverged
+from .dqn import DqnParams, train_dqn
 from .ppo import PpoParams, train_ppo
 from .envs import OffloadEnv, ToyTwoActionEnv
 

@@ -9,20 +9,18 @@ reported reward curves are always in raw units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..domain import ConfigError
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
-from .policy import Policy, masked_argmax
+from .policy import masked_argmax
+from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
+from .training import is_real, trainer_problems
 
-REWARD_SCALE = 100.0
 HUBER_DELTA = 1.0
-
-
-class TrainingDiverged(RuntimeError):
-    """A loss or value estimate stopped being finite."""
 
 
 @dataclass
@@ -44,43 +42,19 @@ class DqnParams:
     eval_episodes: int = 10
 
     def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise ValueError("episodes must be positive")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must be in (0, 1]")
-        if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
-            raise ValueError("need 0 <= eps_end <= eps_start <= 1")
-        if not (0.0 < self.eps_anneal_frac <= 1.0):
-            raise ValueError("eps_anneal_frac must be in (0, 1]")
-        if not (0.0 <= self.explore_full_frac <= 1.0):
-            raise ValueError("explore_full_frac must be in [0, 1]")
-        if self.batch_size < 1 or self.replay_capacity < self.batch_size:
-            raise ValueError("replay capacity must hold at least one batch")
-
-
-@dataclass
-class TrainResult:
-    """What a training run hands back.
-
-    ``policy`` holds the best greedy snapshot seen during evaluation
-    (the final weights when evaluation never ran); ``reward_curve`` is
-    the raw per-episode training return, ``eval_curve`` pairs of
-    (episode, snapshot score) under whichever score the environment
-    defines (its ``snapshot_score`` when present, mean greedy return
-    otherwise).
-    """
-
-    policy: Policy
-    reward_curve: list[float]
-    eval_curve: list[tuple[int, float]] = field(default_factory=list)
-    best_eval: float | None = None
-
-    def save_curve(self, path: str) -> None:
-        """Write the reward curve as CSV rows ``episode,total_reward``."""
-        with open(path, "w") as fh:
-            fh.write("episode,total_reward\n")
-            for ep, total in enumerate(self.reward_curve, start=1):
-                fh.write(f"{ep},{total!r}\n")
+        problems = trainer_problems(self, "target_sync", "updates_per_step")
+        eps = (self.eps_end, self.eps_start)
+        if not (all(map(is_real, eps)) and 0.0 <= eps[0] <= eps[1] <= 1.0):
+            problems.append(f"need 0 <= eps_end <= eps_start <= 1, got {eps!r}")
+        if not (is_real(self.eps_anneal_frac) and 0.0 < self.eps_anneal_frac <= 1.0):
+            problems.append(f"eps_anneal_frac must be in (0, 1], got {self.eps_anneal_frac!r}")
+        if not (is_real(self.explore_full_frac) and 0.0 <= self.explore_full_frac <= 1.0):
+            problems.append(f"explore_full_frac must be in [0, 1], got {self.explore_full_frac!r}")
+        sizes = (self.batch_size, self.replay_capacity)
+        if not (all(type(n) is int for n in sizes) and 1 <= sizes[0] <= sizes[1]):
+            problems.append(f"need 1 <= batch_size <= replay_capacity, got {sizes!r}")
+        if problems:
+            raise ConfigError(problems)
 
 
 class ReplayBuffer:
@@ -134,31 +108,6 @@ def _masked_max(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_snapshot(env, net: Mlp, episodes: int) -> float:
-    """Score of ``net`` at one evaluation point, higher is better.
-
-    Environments that provide ``snapshot_score`` (a held-out greedy
-    quality probe) define the score themselves; otherwise it is the mean
-    return of ``episodes`` fresh episodes under the masked-greedy policy
-    of ``net``.
-    """
-    scorer = getattr(env, "snapshot_score", None)
-    if scorer is not None:
-        return float(scorer(net, episodes))
-    returns = []
-    for _ in range(episodes):
-        state, mask = env.reset()
-        total = 0.0
-        done = False
-        while not done:
-            reward, nxt, done = env.step(masked_argmax(net.forward(state), mask))
-            total += reward
-            if not done:
-                state, mask = nxt
-        returns.append(total)
-    return float(np.mean(returns))
-
-
 def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
     """Train a Q-network on ``env`` and return the greedy policy.
 
@@ -174,10 +123,9 @@ def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
     empty slot. Empty-slot picks shape the training curve but are not
     replayed, since no masked computation ever reads their values.
 
-    Every ``eval_every`` episodes the online network is scored by
-    ``evaluate_snapshot`` over ``eval_episodes`` episodes and the
-    best-scoring snapshot becomes the returned policy. Raises
-    TrainingDiverged if values stop being finite.
+    The online network is scored and its best snapshot kept by a
+    ``SnapshotKeeper``. Raises TrainingDiverged if values stop being
+    finite.
     """
     enc: EncoderSpec = env.encoder
     rng = np.random.default_rng(seed)
@@ -187,10 +135,8 @@ def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
     buffer = ReplayBuffer(params.replay_capacity, enc.state_dim, enc.action_dim)
 
     anneal_steps = max(1, int(params.eps_anneal_frac * params.episodes))
+    keeper = SnapshotKeeper(env, params, {"q": online})
     reward_curve: list[float] = []
-    eval_curve: list[tuple[int, float]] = []
-    best_eval: float | None = None
-    best_net = online.clone()
     decision_steps = 0
 
     for ep in range(params.episodes):
@@ -227,31 +173,9 @@ def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
             if not done:
                 state, mask = nxt
         reward_curve.append(ep_reward)
+        keeper.after_episode(ep + 1)
 
-        if params.eval_every and (ep + 1) % params.eval_every == 0:
-            score = evaluate_snapshot(env, online, params.eval_episodes)
-            eval_curve.append((ep + 1, score))
-            if best_eval is None or score > best_eval:
-                best_eval = score
-                best_net = online.clone()
-
-    final_net = best_net if best_eval is not None else online
-    policy = Policy(
-        algorithm="dqn",
-        encoder=enc,
-        networks={"q": final_net},
-        metadata={
-            "episodes": params.episodes,
-            "reward_scale": REWARD_SCALE,
-            "seed": seed,
-        },
-    )
-    return TrainResult(
-        policy=policy,
-        reward_curve=reward_curve,
-        eval_curve=eval_curve,
-        best_eval=best_eval,
-    )
+    return keeper.result("dqn", reward_curve, seed)
 
 
 def _learn_step(

@@ -2,9 +2,10 @@
 
 Both environments share one minimal interface: ``reset() -> (state,
 mask)`` and ``step(action) -> (reward, next_or_None, done)``, where
-``state`` is the flat float vector and ``mask`` the boolean action mask.
-There is deliberately no discounting or bookkeeping here; trainers own
-that.
+``state`` is the flat float vector and ``mask`` the boolean action mask,
+plus ``snapshot_score(net, episodes)``, the score by which trainers keep
+their best snapshot. There is deliberately no discounting or bookkeeping
+here; trainers own that.
 
 Actions outside the mask are legal to *take* but worthless: the step
 earns zero reward and the episode advances as if the first task of the
@@ -32,6 +33,19 @@ from .policy import masked_argmax
 from .reward import decision_reward
 
 Obs = tuple[np.ndarray, np.ndarray]
+
+
+def greedy_return(env, net) -> float:
+    """The summed reward of one episode of ``env`` under ``net``'s masked-greedy policy."""
+    state, mask = env.reset()
+    total = 0.0
+    done = False
+    while not done:
+        reward, nxt, done = env.step(masked_argmax(net.forward(state), mask))
+        total += reward
+        if not done:
+            state, mask = nxt
+    return total
 
 
 class OffloadEnv:
@@ -151,13 +165,7 @@ class OffloadEnv:
         )
         total = 0.0
         for _ in range(episodes):
-            state, mask = env.reset()
-            done = False
-            while not done:
-                action = masked_argmax(net.forward(state), mask)
-                _, nxt, done = env.step(action)
-                if not done:
-                    state, mask = nxt
+            greedy_return(env, net)
             total += objective(env.last_result, self.sim.lambda_weight)
         return -total / episodes
 
@@ -220,3 +228,7 @@ class ToyTwoActionEnv:
             reward = 0.0
         self._window = None
         return reward, None, True
+
+    def snapshot_score(self, net, episodes: int = 10) -> float:
+        """Mean greedy return of ``net`` over the next episodes of this env's stream."""
+        return float(np.mean([greedy_return(self, net) for _ in range(episodes)]))

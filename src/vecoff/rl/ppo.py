@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dqn import REWARD_SCALE, TrainingDiverged, TrainResult, evaluate_snapshot
+from ..domain import ConfigError
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
-from .policy import Policy, masked_softmax
+from .policy import masked_softmax
+from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
+from .training import is_real, trainer_problems
 
 
 @dataclass
@@ -38,16 +40,13 @@ class PpoParams:
     eval_episodes: int = 10
 
     def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise ValueError("episodes must be positive")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must be in (0, 1]")
-        if not (0.0 <= self.gae_lambda <= 1.0):
-            raise ValueError("gae_lambda must be in [0, 1]")
-        if self.clip <= 0.0:
-            raise ValueError("clip must be positive")
-        if self.rollout < 1 or self.minibatch < 1:
-            raise ValueError("rollout and minibatch must be positive")
+        problems = trainer_problems(self, "rollout", "epochs", "minibatch")
+        if not (is_real(self.gae_lambda) and 0.0 <= self.gae_lambda <= 1.0):
+            problems.append(f"gae_lambda must be in [0, 1], got {self.gae_lambda!r}")
+        if not (is_real(self.clip) and self.clip > 0.0):
+            problems.append(f"clip must be positive, got {self.clip!r}")
+        if problems:
+            raise ConfigError(problems)
 
 
 def _sample_from(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -69,11 +68,8 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
     opt_actor = Adam(actor.params(), lr=params.lr_actor)
     opt_critic = Adam(critic.params(), lr=params.lr_critic)
 
+    keeper = SnapshotKeeper(env, params, {"actor": actor, "critic": critic})
     reward_curve: list[float] = []
-    eval_curve: list[tuple[int, float]] = []
-    best_eval: float | None = None
-    best_actor = actor.clone()
-    best_critic = critic.clone()
 
     state, mask = env.reset()
     ep_reward = 0.0
@@ -108,15 +104,8 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
             if done:
                 reward_curve.append(ep_reward)
                 ep_reward = 0.0
-                ep = len(reward_curve)
-                if params.eval_every and ep % params.eval_every == 0:
-                    score = evaluate_snapshot(env, actor, params.eval_episodes)
-                    eval_curve.append((ep, score))
-                    if best_eval is None or score > best_eval:
-                        best_eval = score
-                        best_actor = actor.clone()
-                        best_critic = critic.clone()
-                if ep >= params.episodes:
+                keeper.after_episode(len(reward_curve))
+                if len(reward_curve) >= params.episodes:
                     break
                 state, mask = env.reset()
             else:
@@ -139,24 +128,7 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
                 )
                 _update_critic(critic, opt_critic, states[mb], returns[mb])
 
-    final_actor = best_actor if best_eval is not None else actor
-    final_critic = best_critic if best_eval is not None else critic
-    policy = Policy(
-        algorithm="ppo",
-        encoder=enc,
-        networks={"actor": final_actor, "critic": final_critic},
-        metadata={
-            "episodes": params.episodes,
-            "reward_scale": REWARD_SCALE,
-            "seed": seed,
-        },
-    )
-    return TrainResult(
-        policy=policy,
-        reward_curve=reward_curve,
-        eval_curve=eval_curve,
-        best_eval=best_eval,
-    )
+    return keeper.result("ppo", reward_curve, seed)
 
 
 def _gae(
@@ -210,16 +182,11 @@ def _update_actor(
     grad_logits = g_logp[:, None] * (onehot - probs)
 
     if params.entropy_coef > 0.0:
-        plogp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-        entropy = -plogp.sum(axis=1)
+        # log p is taken as 0 where p is 0, so masked slots add nothing
+        logp = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+        entropy = -(probs * logp).sum(axis=1)
         # d(-c H)/dz = c * p (log p + H)
-        logp_safe = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-        grad_logits += (
-            params.entropy_coef
-            * probs
-            * (logp_safe + entropy[:, None])
-            * np.where(probs > 0.0, 1.0, 0.0)
-        ) / b
+        grad_logits += params.entropy_coef * probs * (logp + entropy[:, None]) / b
 
     grads = actor.backward(cache, grad_logits)
     opt.step(grads)

@@ -1,0 +1,94 @@
+"""What the value-based and the policy-gradient trainer share.
+
+Rewards enter both learners divided by REWARD_SCALE; reward curves stay
+in raw units. A ``SnapshotKeeper`` owns the evaluation cadence and the
+best snapshot, which becomes the returned policy.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .nets import Mlp
+from .policy import Policy
+
+REWARD_SCALE = 100.0
+
+
+class TrainingDiverged(RuntimeError):
+    """A loss or value estimate stopped being finite."""
+
+
+@dataclass
+class TrainResult:
+    """What a training run hands back: ``policy``, the best snapshot seen
+    during evaluation (the final weights when evaluation never ran); the
+    raw per-episode training return as ``reward_curve``; and (episode,
+    score) pairs of the environment's ``snapshot_score`` as ``eval_curve``."""
+
+    policy: Policy
+    reward_curve: list[float]
+    eval_curve: list[tuple[int, float]] = field(default_factory=list)
+    best_eval: float | None = None
+
+    def save_curve(self, path: str) -> None:
+        """Write the reward curve as CSV rows ``episode,total_reward``."""
+        with open(path, "w") as fh:
+            fh.write("episode,total_reward\n")
+            for ep, total in enumerate(self.reward_curve, start=1):
+                fh.write(f"{ep},{total!r}\n")
+
+
+class SnapshotKeeper:
+    """The evaluation cadence and the best snapshot of one training run.
+
+    ``nets`` are the trainer's live networks, which it updates in place;
+    the first one is the network that acts, and it alone is scored.
+    """
+
+    def __init__(self, env, params, nets: dict[str, Mlp]):
+        self.env = env
+        self.params = params
+        self.nets = nets
+        self.eval_curve: list[tuple[int, float]] = []
+        self.best_eval: float | None = None
+        self._best = nets
+
+    def after_episode(self, ep: int) -> None:
+        """Score the acting network if ``ep`` (1-based) is an eval point."""
+        every = self.params.eval_every
+        if not every or ep % every:
+            return
+        actor = next(iter(self.nets.values()))
+        score = float(self.env.snapshot_score(actor, self.params.eval_episodes))
+        self.eval_curve.append((ep, score))
+        if self.best_eval is None or score > self.best_eval:
+            self.best_eval = score
+            self._best = {name: net.clone() for name, net in self.nets.items()}
+
+    def result(self, algorithm: str, reward_curve: list[float], seed: int) -> TrainResult:
+        """The best snapshot, or the final weights, as a policy with the run's curves."""
+        metadata = {"episodes": self.params.episodes, "reward_scale": REWARD_SCALE, "seed": seed}
+        policy = Policy(algorithm, self.env.encoder, self._best, metadata)
+        return TrainResult(policy, reward_curve, self.eval_curve, self.best_eval)
+
+
+def is_real(value: object) -> bool:
+    """An int or a float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def trainer_problems(params, *counts: str) -> list[str]:
+    """Violations of the rules that both trainers' parameters share, and
+    of each field named in ``counts`` that must be a positive int."""
+    problems = []
+    for name in ("episodes", "eval_episodes", *counts):
+        value = getattr(params, name)
+        if not (type(value) is int and value >= 1):
+            problems.append(f"{name} must be positive, got {value!r}")
+    if not (is_real(params.gamma) and 0.0 < params.gamma <= 1.0):
+        problems.append(f"gamma must be in (0, 1], got {params.gamma!r}")
+    hidden = params.hidden
+    if not (type(hidden) is tuple and hidden and all(type(h) is int and h >= 1 for h in hidden)):
+        problems.append(f"hidden must be a non-empty tuple of positive ints, got {hidden!r}")
+    return problems

@@ -154,10 +154,11 @@ class TestRun:
 
 
 class TestTrainAndDeploy:
-    def test_tiny_train_then_run(self, tmp_path, fast_config, capsys):
-        policy_path = tmp_path / "dqn.json"
+    @pytest.mark.parametrize("algo", ["dqn", "ppo"])
+    def test_tiny_train_then_run(self, tmp_path, fast_config, capsys, algo):
+        policy_path = tmp_path / f"{algo}.json"
         code = main([
-            "train", "--config", fast_config, "--algo", "dqn",
+            "train", "--config", fast_config, "--algo", algo,
             "--vehicles", "30", "--episodes", "8", "--seed", "2",
             "--out", str(policy_path), "--curve", str(tmp_path / "curve.csv"),
         ])
@@ -168,7 +169,7 @@ class TestTrainAndDeploy:
 
         out = tmp_path / "report.csv"
         code = main([
-            "run", "--config", fast_config, "--algo", "dqn",
+            "run", "--config", fast_config, "--algo", algo,
             "--vehicles", "30", "--seed", "1",
             "--policy", str(policy_path),
             "--synthetic-exec-cost", "0",
@@ -176,7 +177,17 @@ class TestTrainAndDeploy:
         ])
         assert code == 0
         report = MetricsReport.from_csv(str(out))
-        assert report.rows[0].algo == "dqn"
+        assert report.rows[0].algo == algo
+
+    @pytest.mark.parametrize("flag", ["--episodes", "--vehicles"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_override_is_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "policy.json"
+        code = main(["train", "--algo", "dqn", flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be positive, got {value}\n"
+        assert not out.exists()
 
 
 class TestMatrixAndExport:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vecoff.cli import main
 from vecoff.config import (
     ExperimentConfig,
     default_config,
@@ -138,3 +139,26 @@ def test_section_that_is_not_an_object_is_rejected(tmp_path, section):
     with pytest.raises(ConfigError) as err:
         load_config(write_json(tmp_path, {section: [1]}))
     assert err.value.violations == [f"{section}: must be a JSON object, got list"]
+
+
+@pytest.mark.parametrize("doc, faults", [
+    ({"dqn": {"episodes": 0, "gamma": 2.0}}, ["dqn: episodes", "dqn: gamma"]),
+    ({"ppo": {"hidden": [128, "a"]}}, ["ppo: hidden"]),
+    ({"ppo": {"hidden": [True, 4], "rollout": 0, "clip": "a", "gamma": False}},
+     ["ppo: hidden", "ppo: rollout", "ppo: clip", "ppo: gamma"]),
+    ({"dqn": {"hidden": [], "eps_start": 0.1, "eps_end": 0.5, "replay_capacity": 8,
+              "target_sync": 0, "eval_episodes": 0},
+      "ppo": {"hidden": 64, "minibatch": 1.5, "epochs": 0}},
+     ["dqn: hidden", "dqn: need 0 <= eps_end", "dqn: need 1 <= batch_size",
+      "dqn: target_sync", "dqn: eval_episodes", "ppo: hidden", "ppo: minibatch", "ppo: epochs"]),
+], ids=["episodes-and-gamma", "hidden-not-int", "bools-and-strings", "two-sections"])
+def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
+    code = main(["gen-trace", "--config", write_json(tmp_path, doc),
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    problems = err[len("error: "):].rstrip("\n").split("; ")
+    assert len(problems) == len(faults), problems
+    for fault in faults:
+        assert any(p.startswith(fault) for p in problems), (fault, problems)

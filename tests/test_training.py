@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vecoff.rl.dqn import DqnParams, ReplayBuffer, TrainingDiverged, train_dqn
+from vecoff.rl import dqn, ppo
+from vecoff.rl.dqn import DqnParams, ReplayBuffer, train_dqn
 from vecoff.rl.envs import OffloadEnv, ToyTwoActionEnv
 from vecoff.rl.policy import masked_argmax, masked_softmax
 from vecoff.rl.ppo import PpoParams, train_ppo
+from vecoff.rl.training import SnapshotKeeper, TrainingDiverged
 from vecoff.config import default_config
 
 # exploration roams the whole padded action space, so the toy needs a
@@ -51,11 +55,71 @@ class TestToyConvergence:
         assert result.policy.algorithm == "ppo"
         assert set(result.policy.networks) == {"actor", "critic"}
 
-    def test_dqn_metadata_records_the_run(self):
-        result = train_dqn(ToyTwoActionEnv(seed=1), DqnParams(episodes=20), seed=7)
+    @pytest.mark.parametrize("train, params", [
+        (train_dqn, DqnParams(episodes=20)),
+        (train_ppo, PpoParams(episodes=20, rollout=32, epochs=2, minibatch=16)),
+    ], ids=["dqn", "ppo"])
+    def test_metadata_records_the_run(self, train, params):
+        result = train(ToyTwoActionEnv(seed=1), params, seed=7)
         assert result.policy.metadata["episodes"] == 20
         assert result.policy.metadata["seed"] == 7
         assert result.policy.metadata["reward_scale"] == 100.0
+
+
+# (trainer module, trainer, a budget small enough for a 30-vehicle OffloadEnv)
+SKELETON_RUNS = {
+    "dqn": (dqn, train_dqn, DqnParams(
+        episodes=6, hidden=(16,), batch_size=16, warmup=16, eval_every=2, eval_episodes=2)),
+    "ppo": (ppo, train_ppo, PpoParams(
+        episodes=6, hidden=(16,), rollout=64, epochs=2, minibatch=32, eval_every=2,
+        eval_episodes=2)),
+}
+
+
+def tiny_offload_env() -> OffloadEnv:
+    cfg = default_config()
+    return OffloadEnv(
+        cfg.geometry, cfg.workload, cfg.sim, cfg.channel, cfg.encoder, vehicles=30, seed=5,
+    )
+
+
+@pytest.fixture
+def live_nets(monkeypatch):
+    """Each trainer's live networks, as handed to its SnapshotKeeper."""
+    seen = []
+
+    class RecordingKeeper(SnapshotKeeper):
+        def __init__(self, env, params, nets):
+            super().__init__(env, params, nets)
+            seen.append(nets)
+
+    for module in (dqn, ppo):
+        monkeypatch.setattr(module, "SnapshotKeeper", RecordingKeeper)
+    return seen
+
+
+@pytest.mark.parametrize("algo", ["dqn", "ppo"])
+class TestSnapshotKeeper:
+    def test_the_policy_is_the_best_scored_snapshot(self, algo, live_nets):
+        _, train, params = SKELETON_RUNS[algo]
+        env = tiny_offload_env()
+        result = train(env, params, seed=5)
+        assert [ep for ep, _ in result.eval_curve] == [2, 4, 6]
+        assert result.best_eval == max(score for _, score in result.eval_curve)
+        acting = next(iter(result.policy.networks.values()))
+        assert env.snapshot_score(acting, params.eval_episodes) == result.best_eval
+        # a copy, not the networks that went on training
+        assert all(result.policy.networks[name] is not net for name, net in live_nets[0].items())
+
+    def test_without_evaluation_the_final_weights_are_returned(self, algo, live_nets, monkeypatch):
+        _, train, params = SKELETON_RUNS[algo]
+        env = tiny_offload_env()
+        monkeypatch.setattr(env, "snapshot_score", lambda *a: pytest.fail("scored"))
+        result = train(env, dataclasses.replace(params, eval_every=0), seed=5)
+        assert result.eval_curve == []
+        assert result.best_eval is None
+        assert len(result.reward_curve) == params.episodes
+        assert all(result.policy.networks[name] is net for name, net in live_nets[0].items())
 
 
 class TestTrainingDeterminism:
