@@ -18,7 +18,6 @@ from .domain import (
     SimConfig,
     Task,
     TaskStatus,
-    validate_config,
 )
 from .engine import (
     DecisionWindow,
@@ -80,6 +79,5 @@ __all__ = [
     "run_matrix",
     "save_config",
     "spawn_tasks",
-    "validate_config",
     "__version__",
 ]

@@ -10,9 +10,11 @@ Two fields say in their metadata that they are stored differently:
 ``WorkloadModel.proc_time_table`` with ``"WxH"`` string keys (``"keys"``).
 
 A config file may leave out any field or section, which then takes its
-default. Loading rejects unknown sections and fields, and it gathers
-every problem into one ``ConfigError`` whose messages each start with
-the section's name. ``cross_validate`` checks the constraints that span
+default. Each section checks its own values when it is built
+(``domain.field_faults``), so a value of the wrong type, NaN, or a value
+outside its field's bound is named by its key. Loading rejects unknown
+sections and fields, and it gathers every problem into one
+``ConfigError`` whose messages each start with the section's name. ``cross_validate`` checks the constraints that span
 sections, chiefly that the encoder contract agrees with the simulator
 shape.
 """
@@ -24,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .domain import ChannelParams, ConfigError, SimConfig, dumps, validate_config
+from .domain import ChannelParams, ConfigError, SimConfig, dumps, fits
 from .heuristics import PsoParams
 from .mobility import ScenarioGeometry, WorkloadModel
 from .rl.dqn import DqnParams
@@ -65,19 +67,20 @@ def section_from_dict(cls: type, d: Any) -> Any:
     """Build one section from its JSON object; missing fields take defaults.
 
     Raises one ConfigError listing every unknown field, malformed
-    ``WxH`` key and violated invariant.
+    ``WxH`` key, mistyped value and violated invariant.
     """
-    section, problems = _decode(cls, d)
+    section, problems, _ = _decode(cls, d)
     if problems:
         raise ConfigError(problems)
     return section
 
 
-def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:
+def _decode(cls: type, d: Any) -> tuple[Any, list[str], dict[str, Any]]:
     """The section built from the known fields of ``d`` (None when its
-    invariants reject them), and every problem found."""
+    invariants reject them), every problem found, and the values of the
+    fields that passed their own checks."""
     if not isinstance(d, dict):
-        return None, [f"must be a JSON object, got {type(d).__name__}"]
+        return None, [f"must be a JSON object, got {type(d).__name__}"], {}
     by_key = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
     problems: list[str] = []
     kwargs: dict[str, Any] = {}
@@ -90,11 +93,10 @@ def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:
         else:
             kwargs[f.name] = _tupled(value)
     try:
-        return cls(**kwargs), problems
+        section = cls(**kwargs)
     except ConfigError as exc:
-        return None, problems + exc.violations
-    except (TypeError, ValueError) as exc:
-        return None, problems + [str(exc)]
+        return None, problems + exc.violations, exc.passed
+    return section, problems, vars(section)
 
 
 def _tupled(value: Any) -> Any:
@@ -103,10 +105,9 @@ def _tupled(value: Any) -> Any:
     return value
 
 
-def _wxh_keyed(key: str, value: Any, problems: list[str]) -> dict[tuple[int, int], Any]:
+def _wxh_keyed(key: str, value: Any, problems: list[str]) -> Any:
     if not isinstance(value, dict):
-        problems.append(f"{key} must be a JSON object, got {type(value).__name__}")
-        return {}
+        return value
     table = {}
     for wxh, v in value.items():
         w, x, h = wxh.partition("x")
@@ -127,7 +128,7 @@ def config_from_dict(d: Any) -> ExperimentConfig:
         if f.default_factory is not dataclasses.MISSING
     }
     problems: list[str] = []
-    failed: set[str] = set()
+    passed: dict[str, dict[str, Any]] = {}
     kwargs: dict[str, Any] = {}
     for name, value in d.items():
         if name == "train_vehicles":
@@ -135,14 +136,13 @@ def config_from_dict(d: Any) -> ExperimentConfig:
         elif name not in sections:
             problems.append(f"{name}: unknown config section")
         else:
-            section, found = _decode(sections[name], value)
+            section, found, passed[name] = _decode(sections[name], value)
             problems.extend(f"{name}: {p}" for p in found)
-            if section is None:
-                failed.add(name)
-            else:
+            if section is not None:
                 kwargs[name] = section
     config = ExperimentConfig(**kwargs)
-    problems.extend(_cross_problems(config, failed))
+    sim, enc = (passed.get(n, vars(getattr(config, n))) for n in ("sim", "encoder"))
+    problems.extend(_cross_problems(sim, enc, config.train_vehicles))
     if problems:
         raise ConfigError(problems)
     return config
@@ -152,35 +152,23 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _cross_problems(config: ExperimentConfig, failed: set[str]) -> list[str]:
-    """Violations of the checks that span sections. The encoder contract
-    is checked only when both ``sim`` and ``encoder`` could be built."""
-    problems: list[str] = []
-    try:
-        validate_config(config.sim)
-    except ConfigError as exc:
-        problems.extend(f"sim: {v}" for v in exc.violations)
-    if not failed & {"sim", "encoder"}:
-        enc, sim = config.encoder, config.sim
-        if enc.num_mecs != sim.num_mecs:
-            problems.append(
-                f"encoder: num_mecs {enc.num_mecs!r} differs from sim.num_mecs "
-                f"{sim.num_mecs!r}"
-            )
-        if enc.window_cap != sim.window_cap:
-            problems.append(
-                f"encoder: window_cap {enc.window_cap!r} differs from "
-                f"sim.window_cap {sim.window_cap!r}"
-            )
-    tv = config.train_vehicles
-    if not isinstance(tv, int) or tv < 1:
-        problems.append(f"train_vehicles: must be an integer >= 1, got {tv!r}")
+def _cross_problems(sim: dict[str, Any], enc: dict[str, Any], train_vehicles: Any) -> list[str]:
+    """Violations of the checks that span sections. ``sim`` and ``enc``
+    hold the values of the fields that passed their own checks; the
+    encoder contract compares each field that passed on both sides."""
+    problems = [
+        f"encoder: {name} {enc[name]!r} differs from sim.{name} {sim[name]!r}"
+        for name in ("num_mecs", "window_cap")
+        if name in sim and name in enc and enc[name] != sim[name]
+    ]
+    if not (fits(train_vehicles, int) and train_vehicles >= 1):
+        problems.append(f"train_vehicles: must be an integer >= 1, got {train_vehicles!r}")
     return problems
 
 
 def cross_validate(config: ExperimentConfig) -> ExperimentConfig:
     """Check constraints that span sections; collects every violation."""
-    problems = _cross_problems(config, set())
+    problems = _cross_problems(vars(config.sim), vars(config.encoder), config.train_vehicles)
     if problems:
         raise ConfigError(problems)
     return config

@@ -11,7 +11,10 @@ other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -41,11 +44,14 @@ class ConfigError(ValueError):
 
     ``violations`` holds one human-readable message per offending field so a
     caller (or a test) can see every problem at once instead of fixing them
-    one at a time.
+    one at a time. A section that rejects itself also hands back in
+    ``passed`` the values of its fields that passed their own checks, by
+    field name, so that checks spanning sections can still read them.
     """
 
-    def __init__(self, violations: list[str]):
+    def __init__(self, violations: typing.Iterable[str], passed: dict[str, Any] | None = None):
         self.violations = list(violations)
+        self.passed = passed or {}
         super().__init__("; ".join(self.violations))
 
 
@@ -164,6 +170,81 @@ class MecState:
         )
 
 
+# The bounds a config field may declare in its metadata: the words that
+# name a fault, and the rule its value (for a tuple, each entry) must
+# satisfy. A tuple field that declares a bound must also be non-empty.
+POSITIVE = {"bound": ("must be positive", lambda v: v > 0)}
+UNIT = {"bound": ("must lie in [0, 1]", lambda v: 0 <= v <= 1)}
+UNIT_NO_ZERO = {"bound": ("must lie in (0, 1]", lambda v: 0 < v <= 1)}
+NON_EMPTY = {"bound": ("must be non-empty", lambda v: True)}
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def fits(value: Any, hint: Any) -> bool:
+    """Whether ``value`` has the type annotation ``hint`` names, tuples and
+    dicts element by element. Numpy scalars count as int and float, a bool
+    counts as neither, and NaN is not a number."""
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint in (int, float):
+        abc = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, abc) and not isinstance(value, bool) and value == value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            fits(k, args[0]) and fits(v, args[1]) for k, v in value.items()
+        )
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(fits, value, args))
+    return isinstance(value, hint)
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def field_faults(obj: Any) -> dict[str, str]:
+    """The fields of the config dataclass ``obj`` whose value does not fit
+    the field's annotation, or breaks the bound its metadata declares,
+    each mapped to one message that names the field by its JSON key."""
+    hints = _type_hints(type(obj))
+    faults = {}
+    for f in dataclasses.fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
+        if not fits(value, hint):
+            fault = f"must be {_KINDS.get(hint, hint)}"
+        else:
+            fault = _bound_fault(value, f.metadata.get("bound"))
+        if fault:
+            faults[f.name] = f"{f.metadata.get('key', f.name)} {fault}, got {value!r}"
+    return faults
+
+
+def _bound_fault(value: Any, bound: tuple[str, Any] | None) -> str | None:
+    if bound is None:
+        return None
+    words, holds = bound
+    if not isinstance(value, tuple):
+        return None if holds(value) else words
+    if not value:
+        return "must be non-empty"
+    return None if all(map(holds, value)) else f"entries {words}"
+
+
+def check_fields(obj: Any, faults: dict[str, str] | None = None, *cross: str) -> None:
+    """Raise one ConfigError naming every field fault of ``obj`` (``faults``,
+    when the caller has them already) and every cross-field fault in
+    ``cross``."""
+    faults = field_faults(obj) if faults is None else faults
+    if faults or cross:
+        passed = {name: v for name, v in vars(obj).items() if name not in faults}
+        raise ConfigError([*faults.values(), *cross], passed)
+
+
 @dataclass
 class ChannelParams:
     """Radio parameters shared by every vehicle-to-RSU link.
@@ -173,23 +254,13 @@ class ChannelParams:
     put the SNR factor at exactly 1 so a 20 MHz grant moves 20 Mbit/s.
     """
 
-    bandwidth_max: float = 20e6
-    tx_power: float = 1.0
-    channel_gain: float = 1.0
-    noise_density: float = 1.0
+    bandwidth_max: float = field(default=20e6, metadata=POSITIVE)
+    tx_power: float = field(default=1.0, metadata=POSITIVE)
+    channel_gain: float = field(default=1.0, metadata=POSITIVE)
+    noise_density: float = field(default=1.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        violations = []
-        if self.bandwidth_max <= 0:
-            violations.append(f"bandwidth_max must be positive, got {self.bandwidth_max}")
-        if self.tx_power <= 0:
-            violations.append(f"tx_power must be positive, got {self.tx_power}")
-        if self.channel_gain <= 0:
-            violations.append(f"channel_gain must be positive, got {self.channel_gain}")
-        if self.noise_density <= 0:
-            violations.append(f"noise_density must be positive, got {self.noise_density}")
-        if violations:
-            raise ConfigError(violations)
+        check_fields(self)
 
     @property
     def snr(self) -> float:
@@ -209,36 +280,16 @@ class SimConfig:
     produces.
     """
 
-    num_mecs: int = 2
-    lambda_weight: float = field(default=0.4, metadata={"key": "lambda"})
-    num_vehicles: int = 50
-    tasks_per_vehicle: int = 1
+    num_mecs: int = field(default=2, metadata=POSITIVE)
+    lambda_weight: float = field(default=0.4, metadata={"key": "lambda", **UNIT})
+    num_vehicles: int = field(default=50, metadata=POSITIVE)
+    tasks_per_vehicle: int = field(default=1, metadata=POSITIVE)
     rng_seed: int = 1
-    window_cap: int = 16
+    window_cap: int = field(default=16, metadata=POSITIVE)
     charge_exec_time: bool = True
 
-
-def validate_config(cfg: SimConfig) -> SimConfig:
-    """Check every SimConfig invariant, reporting all violations at once."""
-    violations = []
-    if not isinstance(cfg.num_mecs, int) or cfg.num_mecs < 1:
-        violations.append(f"num_mecs must be an integer >= 1, got {cfg.num_mecs!r}")
-    lam = cfg.lambda_weight
-    if not isinstance(lam, (int, float)) or not (0.0 <= lam <= 1.0):
-        violations.append(f"lambda must lie in [0, 1], got {lam!r}")
-    if not isinstance(cfg.num_vehicles, int) or cfg.num_vehicles < 1:
-        violations.append(f"num_vehicles must be an integer >= 1, got {cfg.num_vehicles!r}")
-    if not isinstance(cfg.tasks_per_vehicle, int) or cfg.tasks_per_vehicle < 1:
-        violations.append(
-            f"tasks_per_vehicle must be an integer >= 1, got {cfg.tasks_per_vehicle!r}"
-        )
-    if not isinstance(cfg.window_cap, int) or cfg.window_cap < 1:
-        violations.append(f"window_cap must be an integer >= 1, got {cfg.window_cap!r}")
-    if not isinstance(cfg.rng_seed, int):
-        violations.append(f"rng_seed must be an integer, got {cfg.rng_seed!r}")
-    if violations:
-        raise ConfigError(violations)
-    return cfg
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def dumps(obj: Any) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Protocol, Sequence
 
 from .channel import BandwidthEvent, attach_comm_times
-from .domain import MecState, SimConfig, Task, TaskStatus, validate_config
+from .domain import MecState, SimConfig, Task, TaskStatus
 
 _MEC_FREE = 0
 _ARRIVAL = 1
@@ -81,7 +81,6 @@ class EpisodeResult:
 
     tasks: list[Task]
     windows: list[WindowRecord]
-    num_mecs: int
     bandwidth_events: list[BandwidthEvent] = field(default_factory=list)
     mecs: list[MecState] = field(default_factory=list)
 
@@ -357,7 +356,6 @@ def episode_loop(
     return EpisodeResult(
         tasks=list(tasks),
         windows=windows,
-        num_mecs=cfg.num_mecs,
         mecs=mecs,
     )
 
@@ -378,7 +376,6 @@ def run_episode(
     ``cfg.charge_exec_time`` false the result is a pure function of
     (tasks, scheduler decisions).
     """
-    validate_config(cfg)
     work = [t.copy() for t in sorted(tasks, key=lambda t: (t.arrival, t.id))]
     bandwidth_events = attach_comm_times(work, channel_params)
     loop = episode_loop(work, cfg)

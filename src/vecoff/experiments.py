@@ -17,7 +17,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -29,22 +29,6 @@ from .rl.policy import PolicyScheduler
 ALGO_TAGS = ("off-sta-pso", "on-dyn-pso", "dqn", "ppo", "fcfs", "sdf")
 DEFAULT_SEEDS = tuple(range(1, 11))
 DEFAULT_VEHICLE_COUNTS = (50, 100, 200)
-
-CSV_COLUMNS = [
-    "algo",
-    "vehicles",
-    "run",
-    "seed",
-    "drop_ratio",
-    "mean_e2e_s",
-    "mean_wait_s",
-    "objective",
-    "objective_normalized",
-    "total_exec_s",
-    "windows",
-    "per_window_exec_s",
-    "log10_exec",
-]
 
 
 def _log10_or_neg_inf(x: float) -> float:
@@ -114,8 +98,35 @@ class RunRow:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RunRow":
-        return cls(**d)
+    def from_dict(cls, d: Any, where: str = "report row") -> "RunRow":
+        """A row from its cells, each converted to its field's type.
+
+        Raises one ValueError, prefixed by ``where``, that names every
+        missing, unknown or unreadable field.
+        """
+        if not isinstance(d, Mapping):
+            raise ValueError(f"{where}: must be an object, got {type(d).__name__}")
+        problems = [f"unknown field {name!r}" for name in d if name not in CSV_COLUMNS]
+        missing = [name for name in CSV_COLUMNS if name not in d]
+        if missing:
+            problems.append(f"missing fields {', '.join(missing)}")
+        values = {}
+        for name, kind in _CELL_TYPES.items():
+            if name not in d:
+                continue
+            try:
+                values[name] = kind(d[name])
+            except (TypeError, ValueError):
+                problems.append(f"{name} must be {kind.__name__}, got {d[name]!r}")
+        if problems:
+            raise ValueError(f"{where}: " + "; ".join(problems))
+        return cls(**values)
+
+
+# A report's columns are RunRow's fields, in order; each cell reads back
+# through its field's type.
+_CELL_TYPES = get_type_hints(RunRow)
+CSV_COLUMNS = list(_CELL_TYPES)
 
 
 def _mean_row(rows: Sequence[RunRow]) -> RunRow:
@@ -155,11 +166,14 @@ class MetricsReport:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "MetricsReport":
-        return cls(
-            rows=[RunRow.from_dict(r) for r in d["rows"]],
-            means=[RunRow.from_dict(r) for r in d["means"]],
-        )
+    def from_dict(cls, d: Any, where: str = "report") -> "MetricsReport":
+        parts = ("rows", "means")
+        if not (isinstance(d, Mapping) and all(isinstance(d.get(p), list) for p in parts)):
+            raise ValueError(f"{where}: must be an object with lists 'rows' and 'means'")
+        return cls(**{
+            p: [RunRow.from_dict(r, f"{where}: {p}[{i}]") for i, r in enumerate(d[p])]
+            for p in parts
+        })
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -169,7 +183,11 @@ class MetricsReport:
     @classmethod
     def from_json(cls, path: str) -> "MetricsReport":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not JSON: {exc}") from exc
+        return cls.from_dict(d, path)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -190,22 +208,12 @@ class MetricsReport:
                     f"{path}: unexpected header {header!r}, expected {CSV_COLUMNS}"
                 )
             for cells in reader:
-                d = dict(zip(CSV_COLUMNS, cells))
-                row = RunRow(
-                    algo=d["algo"],
-                    vehicles=int(d["vehicles"]),
-                    run=d["run"],
-                    seed=int(d["seed"]),
-                    drop_ratio=float(d["drop_ratio"]),
-                    mean_e2e_s=float(d["mean_e2e_s"]),
-                    mean_wait_s=float(d["mean_wait_s"]),
-                    objective=float(d["objective"]),
-                    objective_normalized=float(d["objective_normalized"]),
-                    total_exec_s=float(d["total_exec_s"]),
-                    windows=int(d["windows"]),
-                    per_window_exec_s=float(d["per_window_exec_s"]),
-                    log10_exec=float(d["log10_exec"]),
-                )
+                where = f"{path}: line {reader.line_num}"
+                if len(cells) > len(CSV_COLUMNS):
+                    raise ValueError(
+                        f"{where}: {len(cells)} cells, the header has {len(CSV_COLUMNS)}"
+                    )
+                row = RunRow.from_dict(dict(zip(CSV_COLUMNS, cells)), where)
                 (report.means if row.run == "mean" else report.rows).append(row)
         return report
 

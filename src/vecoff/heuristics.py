@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import attach_comm_times
-from .domain import ChannelParams, MecState, SimConfig, Task, TaskStatus
+from .domain import ChannelParams, MecState, SimConfig, Task, TaskStatus, check_fields
 from .engine import (
     DecisionWindow,
     EpisodeResult,
@@ -53,6 +53,9 @@ class PsoParams:
     c1: float = 1.49
     c2: float = 1.49
     velocity_clamp: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
@@ -128,7 +131,7 @@ def replay_ordering(
             assign(t, server)
         else:
             t.transition(TaskStatus.DROPPED)
-    return EpisodeResult(tasks=work, windows=[], num_mecs=num_mecs, mecs=mecs)
+    return EpisodeResult(tasks=work, windows=[], mecs=mecs)
 
 
 def induced_ordering(result: EpisodeResult) -> tuple[int, ...]:

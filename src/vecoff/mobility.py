@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ConfigError, Task
+from .domain import NON_EMPTY, POSITIVE, Task, check_fields, field_faults
 
 LANE_WIDTH_M = 3.5
 
@@ -68,27 +68,18 @@ class ScenarioGeometry:
 
     rsu_x: float = 500.0
     rsu_y: float = 0.0
-    coverage_radius: float = 250.0
-    road_length: float = 1000.0
-    lanes: int = 2
-    speed_range: tuple[float, float] = (20.0, 30.0)
-    entry_rate: float = 10.0
+    coverage_radius: float = field(default=250.0, metadata=POSITIVE)
+    road_length: float = field(default=1000.0, metadata=POSITIVE)
+    lanes: int = field(default=2, metadata=POSITIVE)
+    speed_range: tuple[float, float] = field(default=(20.0, 30.0), metadata=POSITIVE)
+    entry_rate: float = field(default=10.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        violations = []
-        if self.coverage_radius <= 0:
-            violations.append(f"coverage_radius must be positive, got {self.coverage_radius}")
-        if self.road_length <= 0:
-            violations.append(f"road_length must be positive, got {self.road_length}")
-        if not isinstance(self.lanes, int) or self.lanes < 1:
-            violations.append(f"lanes must be an integer >= 1, got {self.lanes!r}")
-        lo, hi = self.speed_range
-        if not (0 < lo <= hi):
-            violations.append(f"speed_range must satisfy 0 < min <= max, got {self.speed_range}")
-        if self.entry_rate <= 0:
-            violations.append(f"entry_rate must be positive, got {self.entry_rate}")
-        if violations:
-            raise ConfigError(violations)
+        faults = field_faults(self)
+        cross = []
+        if "speed_range" not in faults and self.speed_range[0] > self.speed_range[1]:
+            cross.append(f"speed_range must satisfy min <= max, got {self.speed_range}")
+        check_fields(self, faults, *cross)
 
 
 # Per-frame processing time on an edge server, by input resolution.
@@ -109,28 +100,25 @@ class WorkloadModel:
     of k exponential draws with rate ``poisson_rate``.
     """
 
-    poisson_rate: float = 0.1
-    resolutions: tuple[tuple[int, int], ...] = ((224, 224), (640, 480), (1280, 720))
-    bits_per_pixel: int = 24
+    poisson_rate: float = field(default=0.1, metadata=POSITIVE)
+    resolutions: tuple[tuple[int, int], ...] = field(
+        default=((224, 224), (640, 480), (1280, 720)), metadata=NON_EMPTY
+    )
+    bits_per_pixel: int = field(default=24, metadata=POSITIVE)
     proc_time_table: dict[tuple[int, int], float] = field(
         default_factory=lambda: dict(DEFAULT_PROC_TIME_TABLE), metadata={"keys": "WxH"}
     )
 
     def __post_init__(self) -> None:
-        violations = []
-        if self.poisson_rate <= 0:
-            violations.append(f"poisson_rate must be positive, got {self.poisson_rate}")
-        if self.bits_per_pixel <= 0:
-            violations.append(f"bits_per_pixel must be positive, got {self.bits_per_pixel}")
-        if not self.resolutions:
-            violations.append("resolutions must be non-empty")
-        for res in self.resolutions:
-            if res not in self.proc_time_table:
-                violations.append(f"resolution {res} has no proc_time_table entry")
-            elif self.proc_time_table[res] <= 0:
-                violations.append(f"proc_time_table[{res}] must be positive")
-        if violations:
-            raise ConfigError(violations)
+        faults = field_faults(self)
+        cross = []
+        if not faults.keys() & {"resolutions", "proc_time_table"}:
+            for res in self.resolutions:
+                if res not in self.proc_time_table:
+                    cross.append(f"resolution {res} has no proc_time_table entry")
+                elif self.proc_time_table[res] <= 0:
+                    cross.append(f"proc_time_table[{res}] must be positive")
+        check_fields(self, faults, *cross)
 
     def task_size(self, resolution: tuple[int, int]) -> int:
         w, h = resolution

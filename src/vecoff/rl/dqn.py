@@ -9,52 +9,47 @@ reported reward curves are always in raw units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..domain import ConfigError
+from ..domain import POSITIVE, UNIT, UNIT_NO_ZERO, check_fields, field_faults
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
 from .policy import masked_argmax
 from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
-from .training import is_real, trainer_problems
 
 HUBER_DELTA = 1.0
 
 
 @dataclass
 class DqnParams:
-    episodes: int = 2500
+    episodes: int = field(default=2500, metadata=POSITIVE)
     lr: float = 1e-4
-    gamma: float = 0.9
-    batch_size: int = 64
-    replay_capacity: int = 50_000
-    target_sync: int = 500
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_anneal_frac: float = 0.6
-    explore_full_frac: float = 0.5
+    gamma: float = field(default=0.9, metadata=UNIT_NO_ZERO)
+    batch_size: int = field(default=64, metadata=POSITIVE)
+    replay_capacity: int = field(default=50_000, metadata=POSITIVE)
+    target_sync: int = field(default=500, metadata=POSITIVE)
+    eps_start: float = field(default=1.0, metadata=UNIT)
+    eps_end: float = field(default=0.05, metadata=UNIT)
+    eps_anneal_frac: float = field(default=0.6, metadata=UNIT_NO_ZERO)
+    explore_full_frac: float = field(default=0.5, metadata=UNIT)
     warmup: int = 128
-    updates_per_step: int = 1
-    hidden: tuple[int, ...] = (128, 128)
+    updates_per_step: int = field(default=1, metadata=POSITIVE)
+    hidden: tuple[int, ...] = field(default=(128, 128), metadata=POSITIVE)
     eval_every: int = 50
-    eval_episodes: int = 10
+    eval_episodes: int = field(default=10, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        problems = trainer_problems(self, "target_sync", "updates_per_step")
+        faults = field_faults(self)
+        cross = []
         eps = (self.eps_end, self.eps_start)
-        if not (all(map(is_real, eps)) and 0.0 <= eps[0] <= eps[1] <= 1.0):
-            problems.append(f"need 0 <= eps_end <= eps_start <= 1, got {eps!r}")
-        if not (is_real(self.eps_anneal_frac) and 0.0 < self.eps_anneal_frac <= 1.0):
-            problems.append(f"eps_anneal_frac must be in (0, 1], got {self.eps_anneal_frac!r}")
-        if not (is_real(self.explore_full_frac) and 0.0 <= self.explore_full_frac <= 1.0):
-            problems.append(f"explore_full_frac must be in [0, 1], got {self.explore_full_frac!r}")
+        if not faults.keys() & {"eps_end", "eps_start"} and eps[0] > eps[1]:
+            cross.append(f"need 0 <= eps_end <= eps_start <= 1, got {eps!r}")
         sizes = (self.batch_size, self.replay_capacity)
-        if not (all(type(n) is int for n in sizes) and 1 <= sizes[0] <= sizes[1]):
-            problems.append(f"need 1 <= batch_size <= replay_capacity, got {sizes!r}")
-        if problems:
-            raise ConfigError(problems)
+        if not faults.keys() & {"batch_size", "replay_capacity"} and sizes[0] > sizes[1]:
+            cross.append(f"need 1 <= batch_size <= replay_capacity, got {sizes!r}")
+        check_fields(self, faults, *cross)
 
 
 class ReplayBuffer:

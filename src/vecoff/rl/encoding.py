@@ -12,12 +12,12 @@ mask marks which slots hold real tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ..domain import ConfigError, MecState
+from ..domain import POSITIVE, MecState, check_fields
 from ..engine import DecisionWindow
 
 
@@ -25,23 +25,13 @@ from ..engine import DecisionWindow
 class EncoderSpec:
     """Contract between a trained policy and the simulator shape."""
 
-    num_mecs: int = 2
-    window_cap: int = 16
-    time_scale: float = 10.0
-    proc_scale: float = 1.0
+    num_mecs: int = field(default=2, metadata=POSITIVE)
+    window_cap: int = field(default=16, metadata=POSITIVE)
+    time_scale: float = field(default=10.0, metadata=POSITIVE)
+    proc_scale: float = field(default=1.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        violations = []
-        if not isinstance(self.num_mecs, int) or self.num_mecs < 1:
-            violations.append(f"num_mecs must be an integer >= 1, got {self.num_mecs!r}")
-        if not isinstance(self.window_cap, int) or self.window_cap < 1:
-            violations.append(f"window_cap must be an integer >= 1, got {self.window_cap!r}")
-        if self.time_scale <= 0:
-            violations.append(f"time_scale must be positive, got {self.time_scale}")
-        if self.proc_scale <= 0:
-            violations.append(f"proc_scale must be positive, got {self.proc_scale}")
-        if violations:
-            raise ConfigError(violations)
+        check_fields(self)
 
     @property
     def state_dim(self) -> int:

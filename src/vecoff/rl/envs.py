@@ -34,6 +34,9 @@ from .reward import decision_reward
 
 Obs = tuple[np.ndarray, np.ndarray]
 
+# draws a reset makes before it calls a scenario too sparse to train on
+MAX_REDRAWS = 200
+
 
 def greedy_return(env, net) -> float:
     """The summed reward of one episode of ``env`` under ``net``'s masked-greedy policy."""
@@ -68,8 +71,6 @@ class OffloadEnv:
         encoder: EncoderSpec,
         vehicles: int,
         seed: int,
-        tasks_per_vehicle: int | None = None,
-        max_regen: int = 200,
     ):
         self.geometry = geometry
         self.workload = workload
@@ -77,10 +78,6 @@ class OffloadEnv:
         self.channel = channel
         self.encoder = encoder
         self.vehicles = vehicles
-        self.tasks_per_vehicle = (
-            sim.tasks_per_vehicle if tasks_per_vehicle is None else tasks_per_vehicle
-        )
-        self.max_regen = max_regen
         self._seed = seed
         self._seed_rng = np.random.default_rng(seed)
         self._loop = None
@@ -97,12 +94,12 @@ class OffloadEnv:
         ]
         trace = generate_trace(self.geometry, self.vehicles, trace_seed)
         tasks = spawn_tasks(
-            trace, self.geometry, self.workload, self.tasks_per_vehicle, task_seed
+            trace, self.geometry, self.workload, self.sim.tasks_per_vehicle, task_seed
         )
         return tasks
 
     def reset(self) -> Obs:
-        for _ in range(self.max_regen):
+        for _ in range(MAX_REDRAWS):
             tasks = self._draw_episode()
             if not tasks:
                 continue
@@ -119,7 +116,7 @@ class OffloadEnv:
             self.episodes_seen += 1
             return encode_state(point.mecs, point.window, point.now, self.encoder)
         raise RuntimeError(
-            f"no decision windows in {self.max_regen} redraws; "
+            f"no decision windows in {MAX_REDRAWS} redraws; "
             "scenario has no contention"
         )
 
@@ -161,7 +158,6 @@ class OffloadEnv:
         env = OffloadEnv(
             self.geometry, self.workload, self.sim, self.channel,
             self.encoder, self.vehicles, seed=self._seed + 1_000_003,
-            tasks_per_vehicle=self.tasks_per_vehicle,
         )
         total = 0.0
         for _ in range(episodes):

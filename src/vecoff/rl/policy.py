@@ -6,7 +6,8 @@ and each network's layer shapes with row-major weight arrays. JSON keeps
 the format inspectable; writing with sorted keys and fixed separators
 makes save -> load -> save byte-identical, which the test suite holds it
 to. A policy can only drive a simulation whose shape matches its encoder
-contract; mismatches raise instead of silently mis-encoding.
+contract; mismatches raise instead of silently mis-encoding. Loading
+rejects non-finite weights and biases, naming each network and layer.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def policy_from_dict(d: Mapping[str, Any]) -> Policy:
             proc_scale=d["normalization"]["proc_scale"],
         )
         networks = {}
+        non_finite = []
         for name, spec in d["networks"].items():
             layers = [
                 (
@@ -112,7 +114,13 @@ def policy_from_dict(d: Mapping[str, Any]) -> Policy:
                 raise PolicyFormatError(
                     f"network {name}: declared shapes {declared} but arrays are {actual}"
                 )
+            for i, (w, b) in enumerate(layers):
+                for kind, values in (("weights", w), ("biases", b)):
+                    if not np.isfinite(values).all():
+                        non_finite.append(f"network {name} layer {i}: non-finite {kind}")
             networks[name] = Mlp.from_weights(layers, activation=spec["activation"])
+        if non_finite:
+            raise PolicyFormatError("; ".join(non_finite))
         return Policy(
             algorithm=d["algorithm"],
             encoder=enc,

@@ -11,42 +11,35 @@ zero probability and never enter the log-partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..domain import ConfigError
+from ..domain import POSITIVE, UNIT, UNIT_NO_ZERO, check_fields
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
 from .policy import masked_softmax
 from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
-from .training import is_real, trainer_problems
 
 
 @dataclass
 class PpoParams:
-    episodes: int = 2500
+    episodes: int = field(default=2500, metadata=POSITIVE)
     lr_actor: float = 3e-4
     lr_critic: float = 3e-4
-    gamma: float = 0.95
-    gae_lambda: float = 0.95
-    clip: float = 0.2
-    rollout: int = 2048
-    epochs: int = 10
-    minibatch: int = 64
+    gamma: float = field(default=0.95, metadata=UNIT_NO_ZERO)
+    gae_lambda: float = field(default=0.95, metadata=UNIT)
+    clip: float = field(default=0.2, metadata=POSITIVE)
+    rollout: int = field(default=2048, metadata=POSITIVE)
+    epochs: int = field(default=10, metadata=POSITIVE)
+    minibatch: int = field(default=64, metadata=POSITIVE)
     entropy_coef: float = 0.01
-    hidden: tuple[int, ...] = (128, 128)
+    hidden: tuple[int, ...] = field(default=(128, 128), metadata=POSITIVE)
     eval_every: int = 50
-    eval_episodes: int = 10
+    eval_episodes: int = field(default=10, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        problems = trainer_problems(self, "rollout", "epochs", "minibatch")
-        if not (is_real(self.gae_lambda) and 0.0 <= self.gae_lambda <= 1.0):
-            problems.append(f"gae_lambda must be in [0, 1], got {self.gae_lambda!r}")
-        if not (is_real(self.clip) and self.clip > 0.0):
-            problems.append(f"clip must be positive, got {self.clip!r}")
-        if problems:
-            raise ConfigError(problems)
+        check_fields(self)
 
 
 def _sample_from(probs: np.ndarray, rng: np.random.Generator) -> int:

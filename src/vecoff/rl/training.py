@@ -71,24 +71,3 @@ class SnapshotKeeper:
         metadata = {"episodes": self.params.episodes, "reward_scale": REWARD_SCALE, "seed": seed}
         policy = Policy(algorithm, self.env.encoder, self._best, metadata)
         return TrainResult(policy, reward_curve, self.eval_curve, self.best_eval)
-
-
-def is_real(value: object) -> bool:
-    """An int or a float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def trainer_problems(params, *counts: str) -> list[str]:
-    """Violations of the rules that both trainers' parameters share, and
-    of each field named in ``counts`` that must be a positive int."""
-    problems = []
-    for name in ("episodes", "eval_episodes", *counts):
-        value = getattr(params, name)
-        if not (type(value) is int and value >= 1):
-            problems.append(f"{name} must be positive, got {value!r}")
-    if not (is_real(params.gamma) and 0.0 < params.gamma <= 1.0):
-        problems.append(f"gamma must be in (0, 1], got {params.gamma!r}")
-    hidden = params.hidden
-    if not (type(hidden) is tuple and hidden and all(type(h) is int and h >= 1 for h in hidden)):
-        problems.append(f"hidden must be a non-empty tuple of positive ints, got {hidden!r}")
-    return problems

@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vecoff
 from vecoff.cli import _parse_cost_arg, _parse_policy_args, main
 from vecoff.config import default_config, save_config
-from vecoff.experiments import ALGO_TAGS, MetricsReport
+from vecoff.experiments import ALGO_TAGS, CSV_COLUMNS, MetricsReport
 from vecoff.heuristics import PsoParams
 from vecoff.mobility import ingest_trace
+from vecoff.rl.nets import Mlp
+from vecoff.rl.policy import Policy, save_policy
 
 
 @pytest.fixture
@@ -142,6 +145,20 @@ class TestRun:
             main(["run", "--algo", "fcfs"])  # no --out
         assert exc.value.code == 2
 
+    def test_nan_policy_is_rejected(self, tmp_path, capsys):
+        cfg = default_config()
+        enc = cfg.encoder
+        net = Mlp([enc.state_dim, 8, enc.action_dim], rng=np.random.default_rng(0))
+        net.weights[1][2, 3] = np.nan
+        path = tmp_path / "policy.json"
+        save_policy(Policy("dqn", enc, {"q": net}), str(path))
+        code = main([
+            "run", "--algo", "dqn", "--vehicles", "20", "--policy", str(path),
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: network q layer 1: non-finite weights\n"
+
     def test_bad_config_file_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_text("{broken")
@@ -218,6 +235,23 @@ class TestMatrixAndExport:
             "export", "--in", str(json_path), "--format", "csv", "--out", str(again),
         ]) == 0
         assert again.read_bytes() == csv_path.read_bytes()
+
+    @pytest.mark.parametrize("name, body, fault", [
+        ("r.json", '{"rows": [{"algo": "x"}], "means": []}',
+         "r.json: rows[0]: missing fields vehicles, run, seed,"),
+        ("r.csv", ",".join(CSV_COLUMNS) + "\nfcfs,20,1\n",
+         "r.csv: line 2: missing fields seed, drop_ratio,"),
+        ("r.csv", ",".join(CSV_COLUMNS) + "\nfcfs,2x,1,1" + ",0.5" * 9 + "\n",
+         "r.csv: line 2: vehicles must be int, got '2x'"),
+    ], ids=["json-row-fields", "csv-short-row", "csv-bad-int"])
+    def test_malformed_report_names_its_place(self, tmp_path, capsys, name, body, fault):
+        src = tmp_path / name
+        src.write_text(body)
+        code = main(["export", "--in", str(src), "--format", "csv",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / fault}") and err.count("\n") == 1, err
 
     def test_matrix_rl_needs_policies(self, tmp_path, capsys):
         code = main([

@@ -162,3 +162,22 @@ def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
     assert len(problems) == len(faults), problems
     for fault in faults:
         assert any(p.startswith(fault) for p in problems), (fault, problems)
+
+
+@pytest.mark.parametrize("doc, fault", [
+    ({"geometry": {"coverage_radius": "a"}}, "geometry: coverage_radius must be a number"),
+    ({"sim": {"charge_exec_time": "no"}}, "sim: charge_exec_time must be true or false"),
+    ({"pso": {"swarm_size": "many"}}, "pso: swarm_size must be an integer"),
+    ({"pso": {"inertia": None}}, "pso: inertia must be a number"),
+    ({"channel": {"tx_power": float("nan")}}, "channel: tx_power must be a number"),
+    ({"sim": {"num_mecs": True}}, "sim: num_mecs must be an integer"),
+    ({"workload": {"proc_time_table": {"224x224": "fast"}}}, "workload: proc_time_table must be"),
+], ids=["radius-str", "charge-str", "swarm-str", "inertia-null", "tx-nan", "mecs-bool",
+        "table-str"])
+def test_mistyped_value_is_named_with_its_field(tmp_path, capsys, doc, fault):
+    code = main(["gen-trace", "--config", write_json(tmp_path, doc),
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fault}") and err.count("\n") == 1, err
+    assert ";" not in err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from vecoff.domain import (
     SimConfig,
     Task,
     TaskStatus,
-    validate_config,
 )
 
 from conftest import make_task
@@ -21,25 +21,41 @@ from conftest import make_task
 
 class TestSimConfig:
     def test_defaults_accepted(self):
-        cfg = validate_config(SimConfig())
+        cfg = SimConfig()
         assert cfg.num_mecs == 2
         assert cfg.lambda_weight == 0.4
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ConfigError) as err:
-            validate_config(SimConfig(lambda_weight=1.3))
+            SimConfig(lambda_weight=1.3)
         assert "lambda" in str(err.value)
         assert "[0, 1]" in str(err.value)
 
     def test_zero_servers(self):
         with pytest.raises(ConfigError) as err:
-            validate_config(SimConfig(num_mecs=0))
+            SimConfig(num_mecs=0)
         assert "num_mecs" in str(err.value)
 
     def test_all_violations_reported_together(self):
         with pytest.raises(ConfigError) as err:
-            validate_config(SimConfig(num_mecs=0, lambda_weight=-3.0, window_cap=0))
+            SimConfig(num_mecs=0, lambda_weight=-3.0, window_cap=0)
         assert len(err.value.violations) == 3
+
+    def test_numpy_scalars_count_as_int_and_float(self):
+        cfg = SimConfig(num_mecs=np.int64(3), lambda_weight=np.float64(0.5))
+        assert cfg.num_mecs == 3
+
+    @pytest.mark.parametrize("kwargs, fault", [
+        ({"num_mecs": True}, "num_mecs must be an integer, got True"),
+        ({"lambda_weight": False}, "lambda must be a number, got False"),
+        ({"window_cap": 2.0}, "window_cap must be an integer, got 2.0"),
+        ({"lambda_weight": math.nan}, "lambda must be a number, got nan"),
+        ({"charge_exec_time": 1}, "charge_exec_time must be true or false, got 1"),
+    ], ids=["bool-int", "bool-float", "float-int", "nan", "int-bool"])
+    def test_wrong_type_is_named(self, kwargs, fault):
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**kwargs)
+        assert err.value.violations == [fault]
 
     def test_round_trip(self):
         cfg = SimConfig(num_mecs=3, lambda_weight=0.7, charge_exec_time=False)

@@ -98,6 +98,17 @@ class TestPolicyFiles:
         with pytest.raises(PolicyFormatError, match="malformed"):
             policy_from_dict(d)
 
+    def test_non_finite_weights_are_all_named(self):
+        d = policy_to_dict(ppo_policy())
+        d["networks"]["actor"]["layers"][0]["weights"][0][0] = float("nan")
+        d["networks"]["critic"]["layers"][1]["biases"][0] = float("inf")
+        with pytest.raises(PolicyFormatError) as err:
+            policy_from_dict(d)
+        assert str(err.value) == (
+            "network actor layer 0: non-finite weights; "
+            "network critic layer 1: non-finite biases"
+        )
+
     def test_metadata_survives_the_file(self, tmp_path):
         path = tmp_path / "p.json"
         save_policy(dqn_policy(seed=5), str(path))

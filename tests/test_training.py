@@ -161,6 +161,8 @@ class TestTrainingSafety:
             PpoParams(clip=0.0)
         with pytest.raises(ValueError):
             PpoParams(rollout=0)
+        with pytest.raises(ValueError, match="hidden"):
+            DqnParams(hidden=(128, "a"))
 
 
 class TestReplayBuffer:
