@@ -16,7 +16,7 @@ at the RSU, so only the download leg delays the result).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .domain import ChannelParams, Task

@@ -174,6 +174,7 @@ class MecState:
 # name a fault, and the rule its value (for a tuple, each entry) must
 # satisfy. A tuple field that declares a bound must also be non-empty.
 POSITIVE = {"bound": ("must be positive", lambda v: v > 0)}
+NON_NEGATIVE = {"bound": ("must not be negative", lambda v: v >= 0)}
 UNIT = {"bound": ("must lie in [0, 1]", lambda v: 0 <= v <= 1)}
 UNIT_NO_ZERO = {"bound": ("must lie in (0, 1]", lambda v: 0 < v <= 1)}
 NON_EMPTY = {"bound": ("must be non-empty", lambda v: True)}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Protocol, Sequence
+from typing import Generator, Protocol, Sequence
 
 from .channel import BandwidthEvent, attach_comm_times
 from .domain import MecState, SimConfig, Task, TaskStatus

@@ -19,11 +19,9 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence, get_type_hints
 
-import numpy as np
-
 from . import heuristics
 from .engine import EpisodeResult, objective, objective_normalized, run_episode
-from .mobility import generate_trace, spawn_tasks
+from .mobility import episode_seeds, generate_trace, spawn_tasks
 from .rl.policy import PolicyScheduler
 
 ALGO_TAGS = ("off-sta-pso", "on-dyn-pso", "dqn", "ppo", "fcfs", "sdf")
@@ -258,9 +256,7 @@ def make_scheduler(
 
 def build_episode_tasks(config: "ExperimentConfig", vehicles: int, seed: int):
     """Trace plus task list for one seeded run, on independent substreams."""
-    trace_seed, task_seed = [
-        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)
-    ]
+    trace_seed, task_seed = episode_seeds(seed)
     trace = generate_trace(config.geometry, vehicles, trace_seed)
     tasks = spawn_tasks(
         trace,

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import attach_comm_times
-from .domain import ChannelParams, MecState, SimConfig, Task, TaskStatus, check_fields
+from .domain import (
+    NON_NEGATIVE, POSITIVE, ChannelParams, MecState, SimConfig, Task, TaskStatus, check_fields,
+)
 from .engine import (
     DecisionWindow,
     EpisodeResult,
@@ -46,9 +48,10 @@ BRUTE_FORCE_LIMIT = 8
 class PsoParams:
     """Swarm search knobs, shared by the offline and per-window modes."""
 
-    swarm_size: int = 50
-    iterations_static: int = 100
-    iterations_dynamic: int = 30
+    swarm_size: int = field(default=50, metadata=POSITIVE)
+    # zero iterations scores only the starting swarm
+    iterations_static: int = field(default=100, metadata=NON_NEGATIVE)
+    iterations_dynamic: int = field(default=30, metadata=NON_NEGATIVE)
     inertia: float = 0.729
     c1: float = 1.49
     c2: float = 1.49
@@ -272,7 +275,7 @@ def swarm_search(
     those orderings; the rest start at random keys. Returns the best
     (score, ordering) ever evaluated, earliest on ties.
     """
-    swarm = max(pso.swarm_size, 1)
+    swarm = pso.swarm_size
     x = rng.uniform(0.0, 1.0, size=(swarm, n))
     v = rng.uniform(-0.1, 0.1, size=(swarm, n))
     for row, ordering in enumerate(starts[:swarm]):

@@ -125,6 +125,13 @@ class WorkloadModel:
         return w * h * self.bits_per_pixel
 
 
+def episode_seeds(seed: int) -> tuple[int, int]:
+    """The trace seed and the task seed of one seeded episode, drawn from
+    independent substreams of ``seed``."""
+    trace_seq, task_seq = np.random.SeedSequence(seed).spawn(2)
+    return int(trace_seq.generate_state(1)[0]), int(task_seq.generate_state(1)[0])
+
+
 def generate_trace(geom: ScenarioGeometry, n_vehicles: int, seed: int) -> Trace:
     """Synthesize a floating-car trace.
 

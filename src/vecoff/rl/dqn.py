@@ -16,7 +16,7 @@ import numpy as np
 from ..domain import POSITIVE, UNIT, UNIT_NO_ZERO, check_fields, field_faults
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
-from .policy import masked_argmax
+from .policy import Policy, masked_argmax
 from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
 
 HUBER_DELTA = 1.0
@@ -130,7 +130,7 @@ def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
     buffer = ReplayBuffer(params.replay_capacity, enc.state_dim, enc.action_dim)
 
     anneal_steps = max(1, int(params.eps_anneal_frac * params.episodes))
-    keeper = SnapshotKeeper(env, params, {"q": online})
+    keeper = SnapshotKeeper(env, params, Policy("dqn", enc, {"q": online}))
     reward_curve: list[float] = []
     decision_steps = 0
 
@@ -170,7 +170,7 @@ def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
         reward_curve.append(ep_reward)
         keeper.after_episode(ep + 1)
 
-    return keeper.result("dqn", reward_curve, seed)
+    return keeper.result(reward_curve, seed)
 
 
 def _learn_step(

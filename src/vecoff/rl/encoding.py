@@ -21,6 +21,10 @@ from ..domain import POSITIVE, MecState, check_fields
 from ..engine import DecisionWindow
 
 
+class PolicyContractError(ValueError):
+    """The policy's encoder contract does not match the simulation."""
+
+
 @dataclass
 class EncoderSpec:
     """Contract between a trained policy and the simulator shape."""
@@ -56,7 +60,7 @@ def encode_state(
     where a slot holds a selectable task).
     """
     if len(mecs) != enc.num_mecs:
-        raise ValueError(
+        raise PolicyContractError(
             f"encoder expects {enc.num_mecs} servers, simulation has {len(mecs)}"
         )
     feas = window.feasible

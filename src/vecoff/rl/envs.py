@@ -3,9 +3,10 @@
 Both environments share one minimal interface: ``reset() -> (state,
 mask)`` and ``step(action) -> (reward, next_or_None, done)``, where
 ``state`` is the flat float vector and ``mask`` the boolean action mask,
-plus ``snapshot_score(net, episodes)``, the score by which trainers keep
-their best snapshot. There is deliberately no discounting or bookkeeping
-here; trainers own that.
+plus ``snapshot_score(policy, episodes)``, the score of the pick
+``PolicyScheduler`` deploys by which trainers keep their best snapshot.
+There is deliberately no discounting or bookkeeping here; trainers own
+that.
 
 Actions outside the mask are legal to *take* but worthless: the step
 earns zero reward and the episode advances as if the first task of the
@@ -15,6 +16,8 @@ behind the environment only ever sees valid choices.
 """
 
 from __future__ import annotations
+
+from typing import Generator
 
 import numpy as np
 
@@ -26,29 +29,17 @@ from ..engine import (
     EpisodeResult,
     episode_loop,
     objective,
+    run_episode,
 )
-from ..mobility import ScenarioGeometry, WorkloadModel, generate_trace, spawn_tasks
+from ..mobility import ScenarioGeometry, WorkloadModel, episode_seeds, generate_trace, spawn_tasks
 from .encoding import EncoderSpec, encode_state
-from .policy import masked_argmax
+from .policy import Policy, PolicyScheduler
 from .reward import decision_reward
 
 Obs = tuple[np.ndarray, np.ndarray]
 
 # draws a reset makes before it calls a scenario too sparse to train on
 MAX_REDRAWS = 200
-
-
-def greedy_return(env, net) -> float:
-    """The summed reward of one episode of ``env`` under ``net``'s masked-greedy policy."""
-    state, mask = env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        reward, nxt, done = env.step(masked_argmax(net.forward(state), mask))
-        total += reward
-        if not done:
-            state, mask = nxt
-    return total
 
 
 class OffloadEnv:
@@ -78,47 +69,44 @@ class OffloadEnv:
         self.channel = channel
         self.encoder = encoder
         self.vehicles = vehicles
-        self._seed = seed
         self._seed_rng = np.random.default_rng(seed)
+        # the held-out stream: disjoint from the training stream
+        self._held_out_rng = np.random.default_rng(seed + 1_000_003)
+        self._held_out: list[list[Task]] = []
         self._loop = None
         self._point: DecisionPoint | None = None
         self.episodes_seen = 0
         self.last_result: EpisodeResult | None = None
-        self.last_episode_seed: int | None = None
 
-    def _draw_episode(self) -> list[Task]:
-        ep_seed = int(self._seed_rng.integers(0, 2**31 - 1))
-        self.last_episode_seed = ep_seed
-        trace_seed, task_seed = [
-            int(s.generate_state(1)[0]) for s in np.random.SeedSequence(ep_seed).spawn(2)
-        ]
-        trace = generate_trace(self.geometry, self.vehicles, trace_seed)
-        tasks = spawn_tasks(
-            trace, self.geometry, self.workload, self.sim.tasks_per_vehicle, task_seed
-        )
-        return tasks
-
-    def reset(self) -> Obs:
+    def _draw_playable(
+        self, rng: np.random.Generator, on_copies: bool = False
+    ) -> tuple[list[Task], Generator, DecisionPoint]:
+        """The next draw of ``rng``'s stream that reaches a decision window:
+        its tasks, comm times attached, and the engine paused at that
+        window, on the drawn tasks or, ``on_copies``, on copies of them."""
         for _ in range(MAX_REDRAWS):
-            tasks = self._draw_episode()
-            if not tasks:
-                continue
+            trace_seed, task_seed = episode_seeds(int(rng.integers(0, 2**31 - 1)))
+            trace = generate_trace(self.geometry, self.vehicles, trace_seed)
+            tasks = spawn_tasks(
+                trace, self.geometry, self.workload, self.sim.tasks_per_vehicle, task_seed
+            )
             attach_comm_times(tasks, self.channel)
-            loop = episode_loop(tasks, self.sim)
+            loop = episode_loop([t.copy() for t in tasks] if on_copies else tasks, self.sim)
             try:
-                point = next(loop)
-            except StopIteration as stop:
+                return tasks, loop, next(loop)
+            except StopIteration:
                 # ran to completion without ever consulting a scheduler
-                self.last_result = stop.value
                 continue
-            self._loop = loop
-            self._point = point
-            self.episodes_seen += 1
-            return encode_state(point.mecs, point.window, point.now, self.encoder)
         raise RuntimeError(
             f"no decision windows in {MAX_REDRAWS} redraws; "
             "scenario has no contention"
         )
+
+    def reset(self) -> Obs:
+        _, self._loop, point = self._draw_playable(self._seed_rng)
+        self._point = point
+        self.episodes_seen += 1
+        return encode_state(point.mecs, point.window, point.now, self.encoder)
 
     def step(self, action: int) -> tuple[float, Obs | None, bool]:
         if self._point is None or self._loop is None:
@@ -143,26 +131,26 @@ class OffloadEnv:
         self._point = point
         return reward, encode_state(point.mecs, point.window, point.now, self.encoder), False
 
-    def snapshot_score(self, net, episodes: int = 10) -> float:
-        """Greedy scheduling quality of ``net``, as a score to maximize.
+    def snapshot_score(self, policy: Policy, episodes: int = 10) -> float:
+        """Greedy scheduling quality of ``policy``, as a score to maximize.
 
-        Replays a fixed held-out trace set (derived from this
-        environment's seed, disjoint from its training stream) under the
-        masked-greedy policy of ``net`` and returns the negated mean
-        scheduling objective. Trainers use this to pick the snapshot
+        Replays a held-out episode set, drawn once from this environment's
+        seed and disjoint from its training stream, under
+        ``PolicyScheduler`` at zero decision cost, and returns the negated
+        mean scheduling objective. Trainers use this to pick the snapshot
         worth deploying: per-episode reward sums barely move with policy
         quality here, because every window pays its chosen task a similar
         amount and unchosen tasks come back in later windows, while the
         objective is the quantity schedulers actually compete on.
         """
-        env = OffloadEnv(
-            self.geometry, self.workload, self.sim, self.channel,
-            self.encoder, self.vehicles, seed=self._seed + 1_000_003,
-        )
+        while len(self._held_out) < episodes:
+            tasks, _, _ = self._draw_playable(self._held_out_rng, on_copies=True)
+            self._held_out.append(tasks)
+        scheduler = PolicyScheduler(policy)
         total = 0.0
-        for _ in range(episodes):
-            greedy_return(env, net)
-            total += objective(env.last_result, self.sim.lambda_weight)
+        for tasks in self._held_out[:episodes]:
+            result = run_episode(tasks, scheduler, self.sim, self.channel, exec_cost=0.0)
+            total += objective(result, self.sim.lambda_weight)
         return -total / episodes
 
 
@@ -225,6 +213,12 @@ class ToyTwoActionEnv:
         self._window = None
         return reward, None, True
 
-    def snapshot_score(self, net, episodes: int = 10) -> float:
-        """Mean greedy return of ``net`` over the next episodes of this env's stream."""
-        return float(np.mean([greedy_return(self, net) for _ in range(episodes)]))
+    def snapshot_score(self, policy: Policy, episodes: int = 10) -> float:
+        """Mean reward of ``policy``'s greedy pick over the next ``episodes``
+        windows of this env's stream."""
+        scheduler = PolicyScheduler(policy)
+        rewards = []
+        for _ in range(episodes):
+            self.reset()
+            rewards.append(self.step(scheduler.select(self._window, self._mecs, 0.0))[0])
+        return float(np.mean(rewards))

@@ -20,22 +20,19 @@ import numpy as np
 
 from ..domain import MecState
 from ..engine import DecisionWindow
-from .encoding import EncoderSpec, encode_state
+# PolicyContractError is raised by encode_state; deployers import it from here
+from .encoding import EncoderSpec, PolicyContractError, encode_state
 from .nets import Mlp
 
 POLICY_FORMAT_VERSION = 1
 
 _ALGORITHMS = ("dqn", "ppo")
-# which networks each algorithm carries
+# which networks each algorithm carries; the first one acts
 _REQUIRED_NETS = {"dqn": ("q",), "ppo": ("actor", "critic")}
 
 
 class PolicyFormatError(ValueError):
     """The file is not a policy container this package can read."""
-
-
-class PolicyContractError(ValueError):
-    """The policy's encoder contract does not match the simulation."""
 
 
 @dataclass
@@ -169,25 +166,18 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class PolicyScheduler:
     """Deploy a trained policy greedily inside the engine.
 
-    A value policy picks the highest masked action value; an actor-critic
-    policy picks the most probable masked action. The critic only trains
-    the actor and is never evaluated here.
+    Every algorithm picks the masked action its acting network scores
+    highest: the highest masked action value for a value policy, the
+    highest masked logit for an actor-critic one. The critic only trains
+    the actor and is never evaluated here. Trainers score their snapshots
+    through this same pick.
     """
 
     def __init__(self, policy: Policy):
         self.policy = policy
         self.name = policy.algorithm
+        self._acting = _REQUIRED_NETS[policy.algorithm][0]
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
-        enc = self.policy.encoder
-        if len(mecs) != enc.num_mecs:
-            raise PolicyContractError(
-                f"policy was trained for {enc.num_mecs} servers, "
-                f"simulation runs {len(mecs)}"
-            )
-        x, mask = encode_state(mecs, window, now, enc)
-        if self.policy.algorithm == "dqn":
-            q = self.policy.networks["q"].forward(x)
-            return masked_argmax(q, mask)
-        probs = masked_softmax(self.policy.networks["actor"].forward(x), mask)
-        return masked_argmax(probs, mask)
+        x, mask = encode_state(mecs, window, now, self.policy.encoder)
+        return masked_argmax(self.policy.networks[self._acting].forward(x), mask)

@@ -18,7 +18,7 @@ import numpy as np
 from ..domain import POSITIVE, UNIT, UNIT_NO_ZERO, check_fields
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
-from .policy import masked_softmax
+from .policy import Policy, masked_softmax
 from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
 
 
@@ -61,7 +61,7 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
     opt_actor = Adam(actor.params(), lr=params.lr_actor)
     opt_critic = Adam(critic.params(), lr=params.lr_critic)
 
-    keeper = SnapshotKeeper(env, params, {"actor": actor, "critic": critic})
+    keeper = SnapshotKeeper(env, params, Policy("ppo", enc, {"actor": actor, "critic": critic}))
     reward_curve: list[float] = []
 
     state, mask = env.reset()
@@ -121,7 +121,7 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
                 )
                 _update_critic(critic, opt_critic, states[mb], returns[mb])
 
-    return keeper.result("ppo", reward_curve, seed)
+    return keeper.result(reward_curve, seed)
 
 
 def _gae(

@@ -2,14 +2,15 @@
 
 Rewards enter both learners divided by REWARD_SCALE; reward curves stay
 in raw units. A ``SnapshotKeeper`` owns the evaluation cadence and the
-best snapshot, which becomes the returned policy.
+best snapshot, which becomes the returned policy. The environment's
+``snapshot_score`` scores each snapshot through ``PolicyScheduler``, the
+pick that deploys it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .nets import Mlp
 from .policy import Policy
 
 REWARD_SCALE = 100.0
@@ -42,32 +43,32 @@ class TrainResult:
 class SnapshotKeeper:
     """The evaluation cadence and the best snapshot of one training run.
 
-    ``nets`` are the trainer's live networks, which it updates in place;
-    the first one is the network that acts, and it alone is scored.
+    ``policy`` holds the trainer's live networks, which it updates in
+    place; it is scored as it stands at each eval point.
     """
 
-    def __init__(self, env, params, nets: dict[str, Mlp]):
+    def __init__(self, env, params, policy: Policy):
         self.env = env
         self.params = params
-        self.nets = nets
+        self.policy = policy
         self.eval_curve: list[tuple[int, float]] = []
         self.best_eval: float | None = None
-        self._best = nets
+        self._best = policy
 
     def after_episode(self, ep: int) -> None:
-        """Score the acting network if ``ep`` (1-based) is an eval point."""
+        """Score the live policy if ``ep`` (1-based) is an eval point."""
         every = self.params.eval_every
         if not every or ep % every:
             return
-        actor = next(iter(self.nets.values()))
-        score = float(self.env.snapshot_score(actor, self.params.eval_episodes))
+        score = float(self.env.snapshot_score(self.policy, self.params.eval_episodes))
         self.eval_curve.append((ep, score))
         if self.best_eval is None or score > self.best_eval:
             self.best_eval = score
-            self._best = {name: net.clone() for name, net in self.nets.items()}
+            networks = {name: net.clone() for name, net in self.policy.networks.items()}
+            self._best = replace(self.policy, networks=networks)
 
-    def result(self, algorithm: str, reward_curve: list[float], seed: int) -> TrainResult:
+    def result(self, reward_curve: list[float], seed: int) -> TrainResult:
         """The best snapshot, or the final weights, as a policy with the run's curves."""
         metadata = {"episodes": self.params.episodes, "reward_scale": REWARD_SCALE, "seed": seed}
-        policy = Policy(algorithm, self.env.encoder, self._best, metadata)
+        policy = replace(self._best, metadata=metadata)
         return TrainResult(policy, reward_curve, self.eval_curve, self.best_eval)

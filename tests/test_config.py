@@ -172,8 +172,11 @@ def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
     ({"channel": {"tx_power": float("nan")}}, "channel: tx_power must be a number"),
     ({"sim": {"num_mecs": True}}, "sim: num_mecs must be an integer"),
     ({"workload": {"proc_time_table": {"224x224": "fast"}}}, "workload: proc_time_table must be"),
+    ({"pso": {"iterations_dynamic": -2}}, "pso: iterations_dynamic must not be negative"),
+    ({"pso": {"iterations_static": -1}}, "pso: iterations_static must not be negative"),
+    ({"pso": {"swarm_size": 0}}, "pso: swarm_size must be positive"),
 ], ids=["radius-str", "charge-str", "swarm-str", "inertia-null", "tx-nan", "mecs-bool",
-        "table-str"])
+        "table-str", "dynamic-iterations-negative", "static-iterations-negative", "swarm-zero"])
 def test_mistyped_value_is_named_with_its_field(tmp_path, capsys, doc, fault):
     code = main(["gen-trace", "--config", write_json(tmp_path, doc),
                  "--out", str(tmp_path / "trace.csv")])

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vecoff.rl import dqn, ppo
+from vecoff.rl import dqn, envs, ppo
 from vecoff.rl.dqn import DqnParams, ReplayBuffer, train_dqn
 from vecoff.rl.envs import OffloadEnv, ToyTwoActionEnv
-from vecoff.rl.policy import masked_argmax, masked_softmax
+from vecoff.rl.nets import Mlp
+from vecoff.rl.policy import Policy, masked_argmax, masked_softmax
 from vecoff.rl.ppo import PpoParams, train_ppo
 from vecoff.rl.training import SnapshotKeeper, TrainingDiverged
 from vecoff.config import default_config
@@ -89,9 +90,9 @@ def live_nets(monkeypatch):
     seen = []
 
     class RecordingKeeper(SnapshotKeeper):
-        def __init__(self, env, params, nets):
-            super().__init__(env, params, nets)
-            seen.append(nets)
+        def __init__(self, env, params, policy):
+            super().__init__(env, params, policy)
+            seen.append(policy.networks)
 
     for module in (dqn, ppo):
         monkeypatch.setattr(module, "SnapshotKeeper", RecordingKeeper)
@@ -106,8 +107,7 @@ class TestSnapshotKeeper:
         result = train(env, params, seed=5)
         assert [ep for ep, _ in result.eval_curve] == [2, 4, 6]
         assert result.best_eval == max(score for _, score in result.eval_curve)
-        acting = next(iter(result.policy.networks.values()))
-        assert env.snapshot_score(acting, params.eval_episodes) == result.best_eval
+        assert env.snapshot_score(result.policy, params.eval_episodes) == result.best_eval
         # a copy, not the networks that went on training
         assert all(result.policy.networks[name] is not net for name, net in live_nets[0].items())
 
@@ -120,6 +120,36 @@ class TestSnapshotKeeper:
         assert result.best_eval is None
         assert len(result.reward_curve) == params.episodes
         assert all(result.policy.networks[name] is net for name, net in live_nets[0].items())
+
+
+# eval curves and best scores of the SKELETON_RUNS on tiny_offload_env, seed 5
+PINNED_EVALS = {
+    "dqn": ([(2, -15.015741362011312), (4, -15.015741362011312), (6, -15.015741362011312)],
+            -15.015741362011312),
+    "ppo": ([(2, -15.015741362011312), (4, -15.015741362011312), (6, -15.015741362011312)],
+            -15.015741362011312),
+}
+
+
+@pytest.mark.parametrize("algo", ["dqn", "ppo"])
+def test_training_outputs_are_pinned(algo):
+    _, train, params = SKELETON_RUNS[algo]
+    result = train(tiny_offload_env(), params, seed=5)
+    assert (result.eval_curve, result.best_eval) == PINNED_EVALS[algo]
+
+
+def test_held_out_set_is_drawn_once(monkeypatch):
+    draws = []
+    real = envs.generate_trace
+    monkeypatch.setattr(envs, "generate_trace", lambda *a: draws.append(a) or real(*a))
+    env = tiny_offload_env()
+    enc = env.encoder
+    net = Mlp([enc.state_dim, 16, enc.action_dim], rng=np.random.default_rng(0))
+    policy = Policy("dqn", enc, {"q": net})
+    first = env.snapshot_score(policy, 2)
+    drawn = len(draws)
+    assert env.snapshot_score(policy, 2) == first
+    assert drawn >= 2 and len(draws) == drawn
 
 
 class TestTrainingDeterminism:
