@@ -166,18 +166,22 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class PolicyScheduler:
     """Deploy a trained policy greedily inside the engine.
 
-    Every algorithm picks the masked action its acting network scores
-    highest: the highest masked action value for a value policy, the
-    highest masked logit for an actor-critic one. The critic only trains
-    the actor and is never evaluated here. Trainers score their snapshots
-    through this same pick.
+    A value policy picks the highest masked action value; an actor-critic
+    policy picks the mode of its masked action distribution, the most
+    probable action, as a stochastic policy is deployed. The critic only
+    trains the actor and is never evaluated here. Trainers score their
+    snapshots through this same pick.
     """
 
     def __init__(self, policy: Policy):
         self.policy = policy
         self.name = policy.algorithm
         self._acting = _REQUIRED_NETS[policy.algorithm][0]
+        self._distribution = policy.algorithm == "ppo"
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
         x, mask = encode_state(mecs, window, now, self.policy.encoder)
-        return masked_argmax(self.policy.networks[self._acting].forward(x), mask)
+        scores = self.policy.networks[self._acting].forward(x)
+        if self._distribution:
+            scores = masked_softmax(scores, mask)
+        return masked_argmax(scores, mask)

@@ -147,14 +147,15 @@ class TestPolicyScheduler:
         choice = PolicyScheduler(pol).select(self.window(2), mecs, now=0.0)
         assert choice in (0, 1)
 
-    def test_ppo_deploys_the_highest_logit_where_softmax_ties(self):
+    def test_ppo_deploys_the_mode_of_its_action_distribution(self):
         pol = ppo_policy()
         enc = pol.encoder
         logits = np.zeros(enc.action_dim)
         logits[1] = 1e-17  # softmax rounds 0 and 1e-17 to one probability
         pol.networks["actor"] = Mlp.from_weights([(np.zeros((enc.state_dim, enc.action_dim)), logits)])
         mecs = [MecState(id=1), MecState(id=2)]
-        assert PolicyScheduler(pol).select(self.window(2), mecs, now=0.0) == 1
+        # the first of the equally probable actions, not the highest logit
+        assert PolicyScheduler(pol).select(self.window(2), mecs, now=0.0) == 0
 
     @pytest.mark.parametrize("build", [dqn_policy, ppo_policy])
     def test_loaded_policy_replays_identical_episodes(self, build, tmp_path, rng):
