@@ -9,7 +9,10 @@ deadline. Orderings are encoded as random-key priority vectors, so the
 swarm moves through a continuous space and every position decodes to a
 valid permutation. Both swarms run the same search (``swarm_search``)
 against the same replay score (``replay_cost``); they differ only in the
-server availabilities a replay starts from and in their warm starts.
+server availabilities a replay starts from and in their warm starts. The
+per-window swarm replays each distinct ordering once per window and
+reuses its score: a window holds few tasks, so its particles mostly
+decode to orderings already scored.
 
 The offline optimizer assumes full knowledge of the episode's arrivals,
 which an online scheduler never has. It is not a bound on its own: it
@@ -20,6 +23,7 @@ schedule the online algorithms of the same trace executed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -160,9 +164,13 @@ def induced_ordering(result: EpisodeResult) -> tuple[int, ...]:
     )
 
 
-def decode_priorities(position: np.ndarray) -> tuple[int, ...]:
-    """Random-key decode: sort task positions by ascending priority key."""
-    return tuple(np.argsort(position, kind="stable").tolist())
+def decode_priorities(x: np.ndarray) -> list[tuple[int, ...]]:
+    """Random-key decode of a swarm, one ordering per row of ``x``.
+
+    Each row's task positions sorted by ascending priority key; tied keys
+    keep the lower position first.
+    """
+    return list(map(tuple, np.argsort(x, axis=1, kind="stable").tolist()))
 
 
 def _ordering_to_position(ordering: Sequence[int], n: int) -> np.ndarray:
@@ -296,8 +304,7 @@ def swarm_search(
             )
             np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)
             x = x + v
-        for i in range(swarm):
-            order = decode_priorities(x[i])
+        for i, order in enumerate(decode_priorities(x)):
             val = score(order)
             if val < pbest_val[i]:
                 pbest_val[i] = val
@@ -348,8 +355,10 @@ class DynamicPsoScheduler:
     At each window it searches orderings of the feasible set against the
     servers' current availabilities, scoring a candidate by the weighted
     sum of its replayed latencies and its replay drop fraction, and
-    commits only the first task of the winner. A one-task window returns
-    immediately without searching.
+    commits only the first task of the winner. Each distinct ordering is
+    replayed once per window: a score depends only on the ordering, the
+    window and the availabilities, so repeats reuse it. A one-task window
+    returns immediately without searching.
     """
 
     name = "on-dyn-pso"
@@ -369,10 +378,10 @@ class DynamicPsoScheduler:
         avails = [m.available_at for m in mecs]
         columns = _columns(feas)
         lam = self._lam
+        score = functools.cache(lambda order: replay_cost(order, avails, *columns, lam))
         # particle 0 starts at the arrival-order keys, so the search can
         # never do worse than taking the window in order
         _, ordering = swarm_search(
-            lambda order: replay_cost(order, avails, *columns, lam),
-            w, [range(w)], self._p.iterations_dynamic, self._p, self._rng,
+            score, w, [range(w)], self._p.iterations_dynamic, self._p, self._rng,
         )
         return ordering[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecoff import heuristics
 from vecoff.config import section_from_dict, section_to_dict
 from vecoff.domain import ChannelParams, MecState, SimConfig, TaskStatus
 from vecoff.engine import DecisionWindow, run_episode, slack
@@ -25,6 +26,7 @@ from vecoff.heuristics import (
     replay_ordering,
     sdf_select,
     swarm_search,
+    _columns,
     _ordering_to_position,
 )
 
@@ -88,13 +90,30 @@ class TestQueueDisciplines:
 class TestRandomKeyEncoding:
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=20, unique=True))
     def test_decode_is_a_permutation(self, keys):
-        order = decode_priorities(np.array(keys))
+        (order,) = decode_priorities(np.array([keys]))
         assert sorted(order) == list(range(len(keys)))
 
     @given(st.permutations(list(range(7))))
     def test_encode_decode_round_trip(self, perm):
         pos = _ordering_to_position(perm, len(perm))
-        assert decode_priorities(pos) == tuple(perm)
+        assert decode_priorities(pos[None, :]) == [tuple(perm)]
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                # few distinct keys, so rows carry ties
+                st.lists(
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2),
+                    min_size=n, max_size=n,
+                ),
+                min_size=1, max_size=8,
+            )
+        )
+    )
+    def test_each_row_decodes_as_its_own_stable_sort(self, rows):
+        orders = decode_priorities(np.array(rows))
+        # sorted() is stable: tied keys keep the lower position first
+        assert orders == [tuple(sorted(range(len(row)), key=row.__getitem__)) for row in rows]
 
 
 class TestReplayOrdering:
@@ -316,6 +335,84 @@ class TestDynamicPso:
             make_task(1, arrival=0.0, proc=0.05, remaining=0.2, comm=0.01),
         ]
         assert sched.select(window_of(tasks), [MecState(id=1)], now=0.0) == 1
+
+
+def uncached_select(sched, window, mecs):
+    """``DynamicPsoScheduler.select``'s search with every ordering replayed."""
+    feas = window.feasible
+    avails = [m.available_at for m in mecs]
+    columns = _columns(feas)
+    _, ordering = swarm_search(
+        lambda order: replay_cost(order, avails, *columns, sched._lam),
+        len(feas), [range(len(feas))], sched._p.iterations_dynamic, sched._p, sched._rng,
+    )
+    return ordering[0]
+
+
+def counting_replays(monkeypatch):
+    """Patch ``replay_cost`` to record every (ordering, availabilities) it replays."""
+    calls = []
+
+    def counted(order, avails, *rest):
+        calls.append((order, tuple(avails)))
+        return replay_cost(order, avails, *rest)
+
+    monkeypatch.setattr(heuristics, "replay_cost", counted)
+    return calls
+
+
+class TestDynamicPsoScoreCache:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        w=st.integers(2, 10),
+        avails=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+        tight=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cached_select_matches_the_uncached_search(self, seed, w, avails, tight):
+        tasks = make_task_set(np.random.default_rng(seed), w, tight_deadlines=tight)
+        mecs = [MecState(id=j + 1, available_at=a) for j, a in enumerate(avails)]
+        cached = DynamicPsoScheduler(FAST_PSO, 0.4, seed=seed)
+        reference = DynamicPsoScheduler(FAST_PSO, 0.4, seed=seed)
+        for _ in range(2):  # the second window starts from the advanced rng
+            assert cached.select(window_of(tasks), mecs, now=0.0) == uncached_select(
+                reference, window_of(tasks), mecs
+            )
+            assert cached._rng.bit_generator.state == reference._rng.bit_generator.state
+
+    def test_replays_each_distinct_ordering_once(self, monkeypatch, rng):
+        calls = counting_replays(monkeypatch)
+        decoded = []
+
+        def recording_decode(x):
+            orders = decode_priorities(x)
+            decoded.extend(orders)
+            return orders
+
+        monkeypatch.setattr(heuristics, "decode_priorities", recording_decode)
+        sched = DynamicPsoScheduler(PsoParams(), 0.4, seed=1)
+        for w in (2, 3, 6):
+            calls.clear()
+            decoded.clear()
+            sched.select(window_of(make_task_set(rng, w)), [MecState(id=1), MecState(id=2)], 0.0)
+            assert sorted(order for order, _ in calls) == sorted(set(decoded))
+        # a 2-task window has two orderings; its 50 x 31 particles replay at most those
+        calls.clear()
+        sched.select(window_of(make_task_set(rng, 2)), [MecState(id=1)], 0.0)
+        assert 1 <= len(calls) <= 2
+
+    def test_a_new_window_is_scored_afresh(self, monkeypatch, rng):
+        calls = counting_replays(monkeypatch)
+        sched = DynamicPsoScheduler(FAST_PSO, 0.4, seed=3)
+        tasks = make_task_set(rng, 4)
+        sched.select(window_of(tasks), [MecState(id=1, available_at=0.0)], 0.0)
+        first = set(calls)
+        calls.clear()
+        sched.select(window_of(tasks), [MecState(id=1, available_at=2.5)], 0.0)
+        assert calls and len(calls) == len(set(calls))
+        assert all(avails == (2.5,) for _, avails in calls)
+        # orderings scored in the first window are replayed again, not reused
+        assert {order for order, _ in first} & {order for order, _ in calls}
 
 
 class TestInducedOrdering:
