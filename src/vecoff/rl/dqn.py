@@ -5,6 +5,14 @@ epsilon-greedy exploration. Rewards enter the learner divided by
 REWARD_SCALE so temporal-difference errors stay in the Huber loss's
 quadratic zone; the greedy policy is invariant to that scaling, and the
 reported reward curves are always in raw units.
+
+The discount is short on purpose. Summed over an episode, the decision
+reward pays more to schedules with longer waits: at 100 vehicles an
+episode under shortest-deadline-first earns about 4,040 against 3,900
+for shortest-processing-first, whose mean end-to-end latency is 36 ms
+lower. A learner that looks far ahead drifts toward those schedules as
+it trains; one that weighs the next few decisions keeps to the
+per-window ranking the reward was written for.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ HUBER_DELTA = 1.0
 class DqnParams:
     episodes: int = field(default=2500, metadata=POSITIVE)
     lr: float = 1e-4
-    gamma: float = field(default=0.9, metadata=UNIT_NO_ZERO)
+    gamma: float = field(default=0.3, metadata=UNIT_NO_ZERO)
     batch_size: int = field(default=64, metadata=POSITIVE)
     replay_capacity: int = field(default=50_000, metadata=POSITIVE)
     target_sync: int = field(default=500, metadata=POSITIVE)
