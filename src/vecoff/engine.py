@@ -35,7 +35,7 @@ _ARRIVAL = 1
 
 
 class SchedulingProtocolError(RuntimeError):
-    """A scheduler broke the engine contract (bad index, infeasible pick)."""
+    """A scheduler broke the engine contract (bad index, negative duration)."""
 
 
 @dataclass
@@ -224,23 +224,23 @@ def build_window(
     )
 
 
-def assign(task: Task, mec: MecState, at: float | None = None) -> float:
-    """Commit one task to one server.
+def assign(task: Task, mec: MecState, at: float | None = None) -> float | None:
+    """Commit one task to one server, or drop it.
 
     Processing starts at ``max(mec.available_at, task.arrival)``, lifted
-    to ``at`` when given (the instant a charged decision completed). The
-    caller must have checked feasibility; an infeasible assignment is a
-    scheduler bug and raises. Fills in all of the task's timing fields and
-    returns the instant the server frees again.
+    to ``at`` when given (the instant a charged decision completed). If
+    the task can still deliver from there, it completes: all of its
+    timing fields are filled in, the server is booked, and the instant
+    the server frees again is returned. Otherwise the task is dropped, no
+    timing field is set, the server is left untouched, and ``None`` is
+    returned.
     """
     start = max(mec.available_at, task.arrival)
     if at is not None:
         start = max(start, at)
     if not is_feasible_at(task, start):
-        raise SchedulingProtocolError(
-            f"task {task.id} assigned to server {mec.id} at {start} cannot "
-            f"meet its deadline {task.deadline}"
-        )
+        task.transition(TaskStatus.DROPPED)
+        return None
     task.transition(TaskStatus.COMPLETED)
     task.start_proc = start
     task.waiting = start - task.arrival
@@ -259,13 +259,14 @@ def episode_loop(
     The caller answers each yielded DecisionPoint with ``(choice,
     duration)``: the index of the chosen task in ``window.feasible`` and
     the decision's execution time in seconds. ``duration`` is recorded in
-    the window log, and added to the clock when the config charges
-    execution time. Tasks must arrive with ``comm_time`` attached and must
-    all be Pending; they are mutated in place. The generator's return
-    value is the EpisodeResult.
+    the window log. Charging execution time only moves the clock: every
+    placement goes through ``assign`` at the clock, and without a charge
+    the clock already equals the start the placement would get. Tasks
+    must arrive with ``comm_time`` attached and must all be Pending; they
+    are mutated in place. The generator's return value is the
+    EpisodeResult.
     """
     mecs = [MecState(id=j + 1) for j in range(cfg.num_mecs)]
-    by_server_id = {m.id: m for m in mecs}
     by_task_id: dict[int, Task] = {}
     events: list[tuple[float, int, int]] = []
     for t in tasks:
@@ -283,25 +284,23 @@ def episode_loop(
     clock = 0.0
     window_index = 0
 
+    def place(task: Task, sid: int) -> None:
+        free_at = assign(task, mecs[sid - 1], at=clock)
+        if free_at is not None:
+            heapq.heappush(events, (free_at, _MEC_FREE, sid))
+
     while events:
         ev_time, kind, key = heapq.heappop(events)
         clock = max(clock, ev_time)
 
         if kind == _ARRIVAL:
             task = by_task_id[key]
-            free = [m for m in mecs if m.available_at <= clock]
-            if free:
-                # Idle server: assign on arrival, no scheduler involved.
-                target = min(free, key=lambda m: (m.available_at, m.id))
-                at = clock if cfg.charge_exec_time else None
-                start = max(target.available_at, task.arrival, at or 0.0)
-                if is_feasible_at(task, start):
-                    free_at = assign(task, target, at=at)
-                    heapq.heappush(events, (free_at, _MEC_FREE, target.id))
-                else:
-                    task.transition(TaskStatus.DROPPED)
-            else:
+            sid, avail = earliest_availability(mecs)
+            if avail > clock:
                 pending.append(task)
+            else:
+                # Idle server: assign on arrival, no scheduler involved.
+                place(task, sid)
             continue
 
         # A server released its task; drain the queue while anything is
@@ -334,16 +333,9 @@ def episode_loop(
             if cfg.charge_exec_time and duration > 0:
                 clock += duration
             task = window.feasible[choice]
-            server = by_server_id[sid]
-            at = clock if cfg.charge_exec_time else None
-            start = max(server.available_at, task.arrival, at or 0.0)
             pending.remove(task)
-            if not is_feasible_at(task, start):
-                # the decision itself took long enough to expire its pick
-                task.transition(TaskStatus.DROPPED)
-                continue
-            free_at = assign(task, server, at=at)
-            heapq.heappush(events, (free_at, _MEC_FREE, server.id))
+            # a charged decision can take long enough to expire its pick
+            place(task, sid)
 
     if pending:
         raise RuntimeError(

@@ -40,7 +40,6 @@ from .engine import (
     EpisodeResult,
     assign,
     earliest_availability,
-    is_feasible_at,
     objective,
     slack,
 )
@@ -118,27 +117,24 @@ class RandomScheduler:
 def replay_ordering(
     tasks: Sequence[Task], ordering: Sequence[int], num_mecs: int
 ) -> EpisodeResult:
-    """Greedy replay of one complete ordering.
+    """Greedy replay of one complete ordering through ``engine.assign``.
 
-    Walks the ordering, putting each task on the earliest-available server
-    at ``max(availability, arrival)``; a task that cannot finish inside its
-    coverage window from there is dropped. Input tasks must carry comm_time
-    and are not mutated (the result holds copies).
+    Walks the ordering, handing each task to the earliest-available
+    server, where ``assign`` starts it or drops it. Input tasks must carry
+    comm_time and are not mutated (the result holds copies).
     """
-    if sorted(ordering) != list(range(len(tasks))):
-        raise ValueError("ordering must be a permutation of task positions")
+    _check_permutation(ordering, len(tasks))
     work = [t.copy() for t in tasks]
     mecs = [MecState(id=j + 1) for j in range(num_mecs)]
     for pos in ordering:
-        t = work[pos]
-        sid, avail = earliest_availability(mecs)
-        server = mecs[sid - 1]
-        start = max(avail, t.arrival)
-        if is_feasible_at(t, start):
-            assign(t, server)
-        else:
-            t.transition(TaskStatus.DROPPED)
+        sid, _ = earliest_availability(mecs)
+        assign(work[pos], mecs[sid - 1])
     return EpisodeResult(tasks=work, windows=[], mecs=mecs)
+
+
+def _check_permutation(ordering: Sequence[int], n: int) -> None:
+    if sorted(ordering) != list(range(n)):
+        raise ValueError("ordering must be a permutation of task positions")
 
 
 def induced_ordering(result: EpisodeResult) -> tuple[int, ...]:
@@ -225,11 +221,12 @@ def replay_cost(
 ) -> float:
     """Objective of one greedy replay, over plain per-task columns.
 
-    The rule of ``replay_ordering`` without building ``Task`` results:
-    servers start at ``avails``; each position of ``order`` (a non-empty
-    ordering of column positions) goes to the earliest-available server
-    at ``max(availability, arrival)``, or is dropped when its waiting
-    would exceed its slack.
+    The rule of ``engine.assign`` over plain columns, pinned equal to
+    ``objective(replay_ordering(...))`` by a property test: servers start
+    at ``avails``; each position of ``order`` (a non-empty ordering of
+    column positions) goes to the earliest-available server at
+    ``max(availability, arrival)``, or is dropped when its waiting would
+    exceed its slack.
 
     Latencies are summed in replay order, or in column order when
     ``task_order`` is set; for id-ordered columns replayed from idle
@@ -327,11 +324,14 @@ def pso_optimize_static(
 
     Replays start from idle servers. The swarm is warm-started with an
     arrival-order particle and a deadline-order particle, plus any
-    caller-provided ``seed_orderings``, so the search never finishes
-    worse than those replays. Returns the best plan ever evaluated.
+    caller-provided ``seed_orderings`` (permutations of the task
+    positions), so the search never finishes worse than those replays.
+    Returns the best plan ever evaluated.
     """
     base = prepare_tasks(tasks, params)
     n = len(base)
+    for ordering in seed_orderings:
+        _check_permutation(ordering, n)
     if n == 0:
         return AssignmentPlan(ordering=(), objective=0.0)
     avails = [0.0] * cfg.num_mecs

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,13 +127,16 @@ class TestAssign:
         delivered = t.arrival + t.waiting + t.proc_time + t.comm_time
         assert math.isclose(delivered, t.deadline)
 
-    def test_infeasible_assignment_is_a_bug(self):
+    def test_infeasible_assignment_drops(self):
         t = make_task(0, arrival=3.0, proc=2.0, remaining=9.2, comm=0.25)
         mec = MecState(id=1)
         mec.add_busy(0.0, 10.0)
-        with pytest.raises(SchedulingProtocolError):
-            assign(t, mec)
-        assert t.status is TaskStatus.PENDING
+        assert assign(t, mec) is None
+        assert t.status is TaskStatus.DROPPED
+        assert t.start_proc is None
+        assert t.e2e_latency is None
+        assert mec.available_at == 10.0
+        assert mec.busy_intervals == [(0.0, 10.0)]
 
     def test_at_lifts_start_beyond_availability(self):
         t = make_task(0, arrival=0.0, proc=1.0, remaining=10.0, comm=0.1)
@@ -172,6 +176,20 @@ class TestRunEpisode:
         assert result.num_windows == 4
         for t in result.tasks:
             assert math.isclose(t.waiting, t.start_proc - t.arrival)
+
+    def test_arrival_takes_the_server_that_freed_first(self, sim2):
+        # server 1 frees at 3.0 and server 2 at 1.1; both are idle when
+        # the third task arrives at 4.0, which goes to the earlier one
+        tasks = [
+            make_task(0, arrival=0.0, proc=3.0, remaining=20.0, size=2e4),
+            make_task(1, arrival=0.1, proc=1.0, remaining=20.0, size=2e4),
+            make_task(2, arrival=4.0, proc=1.0, remaining=20.0, size=2e4),
+        ]
+        result = run(tasks, FcfsScheduler(), sim2)
+        by_id = {t.id: t for t in result.tasks}
+        assert [by_id[i].assigned_mec for i in range(3)] == [1, 2, 2]
+        assert [m.available_at for m in result.mecs] == [3.0, 5.0]
+        assert result.windows == []
 
     def test_exact_deadline_completion_on_fast_path(self, sim2):
         t = make_task(0, arrival=0.0, proc=2.0, remaining=2.25, size=SIZE_QUARTER_S)
@@ -223,16 +241,23 @@ class TestRunEpisode:
         assert slow.total_decision_time == 20.0
         assert fast.total_decision_time == 0.0
 
-    def test_charged_zero_duration_changes_nothing(self):
-        charged = SimConfig(num_mecs=1, charge_exec_time=True)
-        plain = SimConfig(num_mecs=1, charge_exec_time=False)
-        tasks = [
-            make_task(i, arrival=0.1 * i, proc=1.0, remaining=20.0, size=2e4)
-            for i in range(5)
-        ]
-        a = run(tasks, FcfsScheduler(), charged, exec_cost=0.0)
-        b = run(tasks, FcfsScheduler(), plain, exec_cost=0.0)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 25),
+        num_mecs=st.integers(1, 3),
+        tight=st.booleans(),
+    )
+    def test_charged_zero_duration_changes_nothing(self, seed, n, num_mecs, tight):
+        # Every placement starts at the clock; without a charge the clock
+        # already equals the start, so a zero charge must change nothing.
+        tasks = make_task_set(np.random.default_rng(seed), n, tight_deadlines=tight)
+        a, b = (
+            run(tasks, RandomScheduler(seed),
+                SimConfig(num_mecs=num_mecs, charge_exec_time=charged), exec_cost=0.0)
+            for charged in (True, False)
+        )
         assert [t.to_dict() for t in a.tasks] == [t.to_dict() for t in b.tasks]
+        assert [m.busy_intervals for m in a.mecs] == [m.busy_intervals for m in b.mecs]
 
     def test_charged_decision_can_expire_its_own_pick(self):
         # B can absorb 9.5 s of waiting; the server frees at 10.0 after A,
@@ -327,8 +352,6 @@ class TestEpisodeInvariants:
         tight=st.booleans(),
     )
     def test_every_task_ends_terminal_and_consistent(self, seed, n, tight):
-        import numpy as np
-
         tasks = make_task_set(np.random.default_rng(seed), n, tight_deadlines=tight)
         cfg = SimConfig(num_mecs=2, charge_exec_time=False)
         result = run_episode(tasks, RandomScheduler(seed), cfg, ChannelParams())

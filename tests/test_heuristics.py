@@ -299,6 +299,16 @@ class TestStaticPso:
         b = pso_optimize_static(tasks, CFG2, ChannelParams(), FAST_PSO, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "warm", [(0, 1), (0, 0, 1, 1, 2, 2), tuple(range(7))], ids=["short", "repeats", "long"]
+    )
+    def test_rejects_a_warm_start_that_is_not_a_permutation(self, rng, warm):
+        tasks = make_task_set(rng, 6)
+        with pytest.raises(ValueError, match="must be a permutation of task positions"):
+            pso_optimize_static(
+                tasks, CFG2, ChannelParams(), FAST_PSO, seed=3, seed_orderings=[warm]
+            )
+
 
 class TestDynamicPso:
     def test_single_task_window_short_circuits(self):

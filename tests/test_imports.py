@@ -1,0 +1,106 @@
+"""Every name a vecoff module imports is read, exported or allow-listed.
+
+The scan reads each module under ``src/vecoff`` with ``ast``. A name an
+import binds passes when the module reads it somewhere (annotations
+count, string annotations included), lists it in ``__all__``, or when it
+is on ``ALLOWED``: deliberate re-exports with no ``__all__`` to name them.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vecoff"
+MODULES = sorted(SRC.rglob("*.py"))
+
+# (module path relative to src/vecoff, imported name)
+ALLOWED = {
+    # raised by encode_state; deployers import it from rl.policy
+    ("rl/policy.py", "PolicyContractError"),
+}
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, each with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [a for a in (args.vararg, args.kwarg) if a is not None]
+            yield from (a.annotation for a in every if a.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names the module loads, plus those named in string annotations."""
+    names = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for ann in _annotations(tree):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                names |= _read(ast.parse(c.value, mode="eval"))
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str, rel: str = "") -> list[tuple[str, int]]:
+    """(name, line) for each imported name that nothing reads or exports."""
+    tree = ast.parse(source)
+    keep = _read(tree) | _exported(tree) | {name for path, name in ALLOWED if path == rel}
+    return sorted(
+        ((name, line) for name, line in _imported(tree).items() if name not in keep),
+        key=lambda item: item[1],
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_unused_imports(path):
+    rel = path.relative_to(SRC).as_posix()
+    assert unused_imports(path.read_text(), rel) == []
+
+
+def test_allow_list_holds_only_unread_imports():
+    for rel, name in ALLOWED:
+        source = (SRC / rel).read_text()
+        tree = ast.parse(source)
+        assert name in _imported(tree), f"{rel} no longer imports {name}"
+        assert name not in _read(tree) | _exported(tree), f"{rel} reads {name}: unlist it"
+
+
+def test_scan_sees_through_exports_and_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import Any, Sequence\n"
+        "from .m import Exported, Dead\n"
+        "__all__ = ['Exported']\n"
+        "def f(x: 'Sequence[int]') -> Any:\n"
+        "    return sys.argv\n"
+    )
+    assert unused_imports(source) == [("os", 2), ("Dead", 4)]
