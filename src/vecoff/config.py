@@ -1,10 +1,12 @@
 """One bundle for every knob an experiment needs.
 
 The sections mirror the package layout: ``sim``, ``geometry``,
-``workload``, ``channel``, ``pso``, ``dqn``, ``ppo`` and ``encoder``,
-plus the top-level ``train_vehicles``. One codec serves every section:
-``section_to_dict`` writes a section's fields under their names, and
-``section_from_dict`` reads them back, turning JSON lists into tuples.
+``workload``, ``channel``, ``pso``, ``dqn`` and ``ppo``, plus the
+top-level ``train_vehicles``. The encoder contract is not a section:
+``ExperimentConfig.encoder`` derives it from ``sim``. One codec serves
+every section: ``section_to_dict`` writes a section's fields under their
+names, and ``section_from_dict`` reads them back, turning JSON lists
+into tuples.
 Two fields say in their metadata that they are stored differently:
 ``SimConfig.lambda_weight`` under the key ``"lambda"`` (``"key"``) and
 ``WorkloadModel.proc_time_table`` with ``"WxH"`` string keys (``"keys"``).
@@ -14,9 +16,9 @@ default. Each section checks its own values when it is built
 (``domain.field_faults``), so a value of the wrong type, NaN, or a value
 outside its field's bound is named by its key. Loading rejects unknown
 sections and fields, and it gathers every problem into one
-``ConfigError`` whose messages each start with the section's name. ``cross_validate`` checks the constraints that span
-sections, chiefly that the encoder contract agrees with the simulator
-shape.
+``ConfigError`` whose messages each start with the section's name.
+``cross_validate`` checks ``train_vehicles``, the one value no section
+checks.
 """
 
 from __future__ import annotations
@@ -43,11 +45,16 @@ class ExperimentConfig:
     pso: PsoParams = field(default_factory=PsoParams)
     dqn: DqnParams = field(default_factory=DqnParams)
     ppo: PpoParams = field(default_factory=PpoParams)
-    encoder: EncoderSpec = field(default_factory=EncoderSpec)
     # density of the episodes both trainers practice on; 100 vehicles
     # gives training episodes in the 40-60 decision range, the same
     # regime the comparison matrix evaluates at its middle density
     train_vehicles: int = 100
+
+    @property
+    def encoder(self) -> EncoderSpec:
+        """The contract of every policy trained under this config: the
+        simulator's shape, at the default normalization constants."""
+        return EncoderSpec(num_mecs=self.sim.num_mecs, window_cap=self.sim.window_cap)
 
 
 def section_to_dict(obj: Any) -> dict[str, Any]:
@@ -69,18 +76,17 @@ def section_from_dict(cls: type, d: Any) -> Any:
     Raises one ConfigError listing every unknown field, malformed
     ``WxH`` key, mistyped value and violated invariant.
     """
-    section, problems, _ = _decode(cls, d)
+    section, problems = _decode(cls, d)
     if problems:
         raise ConfigError(problems)
     return section
 
 
-def _decode(cls: type, d: Any) -> tuple[Any, list[str], dict[str, Any]]:
+def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:
     """The section built from the known fields of ``d`` (None when its
-    invariants reject them), every problem found, and the values of the
-    fields that passed their own checks."""
+    invariants reject them) and every problem found."""
     if not isinstance(d, dict):
-        return None, [f"must be a JSON object, got {type(d).__name__}"], {}
+        return None, [f"must be a JSON object, got {type(d).__name__}"]
     by_key = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
     problems: list[str] = []
     kwargs: dict[str, Any] = {}
@@ -95,8 +101,8 @@ def _decode(cls: type, d: Any) -> tuple[Any, list[str], dict[str, Any]]:
     try:
         section = cls(**kwargs)
     except ConfigError as exc:
-        return None, problems + exc.violations, exc.passed
-    return section, problems, vars(section)
+        return None, problems + exc.violations
+    return section, problems
 
 
 def _tupled(value: Any) -> Any:
@@ -128,7 +134,6 @@ def config_from_dict(d: Any) -> ExperimentConfig:
         if f.default_factory is not dataclasses.MISSING
     }
     problems: list[str] = []
-    passed: dict[str, dict[str, Any]] = {}
     kwargs: dict[str, Any] = {}
     for name, value in d.items():
         if name == "train_vehicles":
@@ -136,13 +141,12 @@ def config_from_dict(d: Any) -> ExperimentConfig:
         elif name not in sections:
             problems.append(f"{name}: unknown config section")
         else:
-            section, found, passed[name] = _decode(sections[name], value)
+            section, found = _decode(sections[name], value)
             problems.extend(f"{name}: {p}" for p in found)
             if section is not None:
                 kwargs[name] = section
     config = ExperimentConfig(**kwargs)
-    sim, enc = (passed.get(n, vars(getattr(config, n))) for n in ("sim", "encoder"))
-    problems.extend(_cross_problems(sim, enc, config.train_vehicles))
+    problems.extend(_train_vehicles_problems(config.train_vehicles))
     if problems:
         raise ConfigError(problems)
     return config
@@ -152,23 +156,15 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _cross_problems(sim: dict[str, Any], enc: dict[str, Any], train_vehicles: Any) -> list[str]:
-    """Violations of the checks that span sections. ``sim`` and ``enc``
-    hold the values of the fields that passed their own checks; the
-    encoder contract compares each field that passed on both sides."""
-    problems = [
-        f"encoder: {name} {enc[name]!r} differs from sim.{name} {sim[name]!r}"
-        for name in ("num_mecs", "window_cap")
-        if name in sim and name in enc and enc[name] != sim[name]
-    ]
-    if not (fits(train_vehicles, int) and train_vehicles >= 1):
-        problems.append(f"train_vehicles: must be an integer >= 1, got {train_vehicles!r}")
-    return problems
+def _train_vehicles_problems(train_vehicles: Any) -> list[str]:
+    if fits(train_vehicles, int) and train_vehicles >= 1:
+        return []
+    return [f"train_vehicles: must be an integer >= 1, got {train_vehicles!r}"]
 
 
 def cross_validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Check constraints that span sections; collects every violation."""
-    problems = _cross_problems(vars(config.sim), vars(config.encoder), config.train_vehicles)
+    """Check the value that no section checks itself, ``train_vehicles``."""
+    problems = _train_vehicles_problems(config.train_vehicles)
     if problems:
         raise ConfigError(problems)
     return config

@@ -44,14 +44,11 @@ class ConfigError(ValueError):
 
     ``violations`` holds one human-readable message per offending field so a
     caller (or a test) can see every problem at once instead of fixing them
-    one at a time. A section that rejects itself also hands back in
-    ``passed`` the values of its fields that passed their own checks, by
-    field name, so that checks spanning sections can still read them.
+    one at a time.
     """
 
-    def __init__(self, violations: typing.Iterable[str], passed: dict[str, Any] | None = None):
+    def __init__(self, violations: typing.Iterable[str]):
         self.violations = list(violations)
-        self.passed = passed or {}
         super().__init__("; ".join(self.violations))
 
 
@@ -242,8 +239,7 @@ def check_fields(obj: Any, faults: dict[str, str] | None = None, *cross: str) ->
     ``cross``."""
     faults = field_faults(obj) if faults is None else faults
     if faults or cross:
-        passed = {name: v for name, v in vars(obj).items() if name not in faults}
-        raise ConfigError([*faults.values(), *cross], passed)
+        raise ConfigError([*faults.values(), *cross])
 
 
 @dataclass
@@ -274,11 +270,16 @@ class SimConfig:
 
     ``lambda_weight`` is the latency-vs-drops weight of the scheduling
     objective (serialized under the JSON key "lambda"). ``window_cap`` is
-    the maximum number of queued tasks an RL state vector exposes;
-    heuristic schedulers see the whole queue. ``charge_exec_time`` makes
-    the engine add each scheduler invocation's execution time to the
-    simulation clock, so slow decision-making degrades the schedule it
-    produces.
+    the maximum number of queued tasks an RL state vector exposes, the
+    cap every policy trained under the config is built with; heuristic
+    schedulers see the whole queue. ``num_mecs`` and ``window_cap`` are
+    the encoder contract's shape (``ExperimentConfig.encoder``).
+    ``charge_exec_time`` makes the engine add each scheduler invocation's
+    execution time to the simulation clock, so slow decision-making
+    degrades the schedule it produces. No runner reads ``num_vehicles``
+    or ``rng_seed``: density and seed come from ``run_cell``'s arguments
+    (``--vehicles``, ``--seed``) and from ``train_vehicles``. The
+    acceptance gates still build them.
     """
 
     num_mecs: int = field(default=2, metadata=POSITIVE)

@@ -23,8 +23,9 @@ so a task arriving exactly when a server frees takes the idle-server path.
 from __future__ import annotations
 
 import heapq
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Generator, Protocol, Sequence
 
 from .channel import BandwidthEvent, attach_comm_times
@@ -113,20 +114,12 @@ class EpisodeResult:
 
     def to_jsonl(self, path: str) -> None:
         """Dump one JSON record per task, then the window log."""
-        import json
-
         with open(path, "w") as fh:
             for t in self.tasks:
                 rec = {"kind": "task", **t.to_dict()}
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
             for w in self.windows:
-                rec = {
-                    "kind": "window",
-                    "index": w.index,
-                    "queue_size": w.queue_size,
-                    "feasible_size": w.feasible_size,
-                    "duration": w.duration,
-                }
+                rec = {"kind": "window", **asdict(w)}
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence, get_type_hints
 from . import heuristics
 from .engine import EpisodeResult, objective, objective_normalized, run_episode
 from .mobility import episode_seeds, generate_trace, spawn_tasks
-from .rl.policy import PolicyScheduler
+from .rl.policy import PolicyContractError, PolicyScheduler
 
 ALGO_TAGS = ("off-sta-pso", "on-dyn-pso", "dqn", "ppo", "fcfs", "sdf")
 DEFAULT_SEEDS = tuple(range(1, 11))
@@ -230,8 +230,9 @@ def make_scheduler(
 ):
     """Instantiate the scheduler behind an algorithm tag.
 
-    RL tags need a trained policy in ``policies``; a fresh scheduler is
-    built per call so stateful search seeds stay reproducible.
+    RL tags need a trained policy in ``policies`` whose encoder has the
+    config's server count; a fresh scheduler is built per call so
+    stateful search seeds stay reproducible.
     """
     policies = policies or {}
     if algo == "fcfs":
@@ -249,6 +250,11 @@ def make_scheduler(
         if policy.algorithm != algo:
             raise ValueError(
                 f"policy trained for {policy.algorithm} cannot run as {algo}"
+            )
+        if policy.encoder.num_mecs != config.sim.num_mecs:
+            raise PolicyContractError(
+                f"{algo} policy encoder expects {policy.encoder.num_mecs} servers, "
+                f"simulation has {config.sim.num_mecs}"
             )
         return PolicyScheduler(policy)
     raise ValueError(f"unknown algorithm tag {algo!r}; expected one of {ALGO_TAGS}")

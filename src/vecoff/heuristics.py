@@ -275,15 +275,16 @@ def swarm_search(
 
     Particles are random-key priority vectors (Bean 1994), decoded by
     ``decode_priorities``; velocities follow the constriction form with
-    the ``pso`` weights (Clerc & Kennedy 2002). The first particles start
-    at the keys of ``starts``, so the search never finishes worse than
-    those orderings; the rest start at random keys. Returns the best
+    the ``pso`` weights (Clerc & Kennedy 2002). The swarm holds every
+    start: it has ``max(pso.swarm_size, len(starts))`` particles, the
+    first at the keys of ``starts``, so the search never finishes worse
+    than those orderings; the rest start at random keys. Returns the best
     (score, ordering) ever evaluated, earliest on ties.
     """
-    swarm = pso.swarm_size
+    swarm = max(pso.swarm_size, len(starts))
     x = rng.uniform(0.0, 1.0, size=(swarm, n))
     v = rng.uniform(-0.1, 0.1, size=(swarm, n))
-    for row, ordering in enumerate(starts[:swarm]):
+    for row, ordering in enumerate(starts):
         x[row] = _ordering_to_position(ordering, n)
 
     pbest_x = x.copy()

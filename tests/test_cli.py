@@ -12,6 +12,7 @@ from vecoff.config import default_config, save_config
 from vecoff.experiments import ALGO_TAGS, CSV_COLUMNS, MetricsReport
 from vecoff.heuristics import PsoParams
 from vecoff.mobility import ingest_trace
+from vecoff.rl.encoding import EncoderSpec
 from vecoff.rl.nets import Mlp
 from vecoff.rl.policy import Policy, save_policy
 
@@ -159,6 +160,26 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == "error: network q layer 1: non-finite weights\n"
 
+    def test_policy_for_another_server_count_is_rejected_before_the_run(
+        self, tmp_path, capsys
+    ):
+        # at 20 vehicles no window opens, so only a check before the run
+        # can catch the mismatch
+        enc = EncoderSpec(num_mecs=3, window_cap=12)
+        net = Mlp([enc.state_dim, 8, enc.action_dim], rng=np.random.default_rng(0))
+        path = tmp_path / "policy.json"
+        save_policy(Policy("dqn", enc, {"q": net}), str(path))
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--algo", "dqn", "--vehicles", "20", "--policy", str(path),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: dqn policy encoder expects 3 servers, simulation has 2\n"
+        )
+        assert not out.exists()
+
     def test_bad_config_file_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_text("{broken")
@@ -195,6 +216,24 @@ class TestTrainAndDeploy:
         assert code == 0
         report = MetricsReport.from_csv(str(out))
         assert report.rows[0].algo == algo
+
+    def test_policy_takes_its_shape_from_the_sim_section(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sim": {"num_mecs": 3, "window_cap": 12}}))
+        policy_path = tmp_path / "dqn.json"
+        code = main([
+            "train", "--config", str(config), "--algo", "dqn",
+            "--vehicles", "20", "--episodes", "2", "--out", str(policy_path),
+        ])
+        assert code == 0
+        saved = json.loads(policy_path.read_text())
+        assert (saved["num_mecs"], saved["window_cap"]) == (3, 12)
+        assert saved["networks"]["q"]["layer_shapes"][0][0] == 3 + 4 * 12
+        code = main([
+            "run", "--config", str(config), "--algo", "dqn", "--vehicles", "100",
+            "--policy", str(policy_path), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 0
 
     @pytest.mark.parametrize("flag", ["--episodes", "--vehicles"])
     @pytest.mark.parametrize("value", ["0", "-3"])

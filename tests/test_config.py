@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from vecoff.cli import main
 from vecoff.config import (
     ExperimentConfig,
+    cross_validate,
     default_config,
     load_config,
     save_config,
@@ -16,17 +18,16 @@ from vecoff.rl.dqn import DqnParams
 from vecoff.rl.encoding import EncoderSpec
 from vecoff.rl.ppo import PpoParams
 
-SECTIONS = ("sim", "geometry", "workload", "channel", "pso", "dqn", "ppo", "encoder")
+SECTIONS = ("sim", "geometry", "workload", "channel", "pso", "dqn", "ppo")
 
 # save_config(default_config()) as written before the sections shared one codec;
-# only DQN's discount (0.3) has moved since
+# since then DQN's discount has moved to 0.3 and the encoder section is gone
 DEFAULT_CONFIG_JSON = (
     '{"channel":{"bandwidth_max":20000000.0,"channel_gain":1.0,"noise_density":1.0,'
     '"tx_power":1.0},"dqn":{"batch_size":64,"episodes":2500,"eps_anneal_frac":0.6,'
     '"eps_end":0.05,"eps_start":1.0,"eval_episodes":10,"eval_every":50,'
     '"explore_full_frac":0.5,"gamma":0.3,"hidden":[128,128],"lr":0.0001,'
     '"replay_capacity":50000,"target_sync":500,"updates_per_step":1,"warmup":128},'
-    '"encoder":{"num_mecs":2,"proc_scale":1.0,"time_scale":10.0,"window_cap":16},'
     '"geometry":{"coverage_radius":250.0,"entry_rate":10.0,"lanes":2,'
     '"road_length":1000.0,"rsu_x":500.0,"rsu_y":0.0,"speed_range":[20.0,30.0]},'
     '"ppo":{"clip":0.2,"entropy_coef":0.01,"episodes":2500,"epochs":10,'
@@ -72,13 +73,13 @@ def test_non_default_config_round_trips(tmp_path):
                       inertia=0.6, c1=1.2, c2=1.3, velocity_clamp=0.5),
         dqn=DqnParams(episodes=40, lr=1e-3, hidden=(64, 32), eval_every=10),
         ppo=PpoParams(episodes=30, clip=0.1, hidden=(32,), eval_episodes=4),
-        encoder=EncoderSpec(num_mecs=3, window_cap=12, time_scale=5.0, proc_scale=2.0),
         train_vehicles=60,
     )
     path = tmp_path / "config.json"
     save_config(config, str(path))
     loaded = load_config(str(path))
     assert loaded == config
+    assert loaded.encoder == EncoderSpec(num_mecs=3, window_cap=12)
     assert loaded.workload.resolutions == ((320, 240), (640, 480))
     assert loaded.dqn.hidden == (64, 32)
 
@@ -108,21 +109,20 @@ def test_every_problem_is_named_with_its_section(tmp_path):
         ("pso", "unknown field 'swarm'"),
         ("dqn", "episodes must be positive"),
         ("ppo", "must be a JSON object"),
-        ("encoder", "window_cap 8 differs from sim.window_cap 16"),
+        ("encoder", "unknown config section"),
         ("extra", "unknown config section"),
         ("train_vehicles", "must be an integer >= 1"),
     ]
     for section, fragment in planted:
         assert any(p.startswith(f"{section}: ") and fragment in p for p in problems), (
             section, fragment, problems)
-    named = (*SECTIONS, "extra", "train_vehicles")
+    named = (*SECTIONS, "encoder", "extra", "train_vehicles")
     assert all(p.split(": ", 1)[0] in named for p in problems), problems
 
 
 def test_missing_fields_and_sections_take_defaults(tmp_path):
     path = write_json(tmp_path, {
         "sim": {"num_mecs": 3},
-        "encoder": {"num_mecs": 3},
         "workload": {"poisson_rate": 0.2},
     })
     config = load_config(path)
@@ -133,6 +133,22 @@ def test_missing_fields_and_sections_take_defaults(tmp_path):
     assert config.dqn == DqnParams()
     assert config.train_vehicles == 100
     assert load_config(write_json(tmp_path, {})) == default_config()
+
+
+def test_cross_validate_rejects_a_bad_train_vehicles():
+    config = default_config()
+    assert cross_validate(config) is config
+    config.train_vehicles = 0
+    with pytest.raises(ConfigError) as err:
+        cross_validate(config)
+    assert err.value.violations == ["train_vehicles: must be an integer >= 1, got 0"]
+
+
+def test_encoder_follows_the_sim_section():
+    config = default_config()
+    assert config.encoder == EncoderSpec(num_mecs=2, window_cap=16)
+    config.sim = dataclasses.replace(config.sim, num_mecs=3)
+    assert config.encoder == EncoderSpec(num_mecs=3, window_cap=16)
 
 
 @pytest.mark.parametrize("section", SECTIONS)

@@ -299,6 +299,44 @@ class TestStaticPso:
         b = pso_optimize_static(tasks, CFG2, ChannelParams(), FAST_PSO, seed=3)
         assert a == b
 
+    def test_a_warm_start_beyond_the_swarm_size_is_kept(self):
+        # two particles, three starts: the caller's optimum comes third
+        tasks = make_task_set(np.random.default_rng(0), 6, tight_deadlines=True)
+        oracle = brute_force_oracle(tasks, CFG1, ChannelParams())
+        plan = pso_optimize_static(
+            tasks, CFG1, ChannelParams(), PsoParams(swarm_size=2, iterations_static=0),
+            seed=0, seed_orderings=[oracle.ordering],
+        )
+        assert math.isclose(plan.objective, oracle.objective, abs_tol=1e-12)
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        swarm=st.integers(1, 3),
+        iterations=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_never_worse_than_any_warm_start_whatever_the_swarm_size(
+        self, data, n, swarm, iterations, seed
+    ):
+        tasks = make_task_set(np.random.default_rng(seed), n, tight_deadlines=True)
+        base = prepare_tasks(tasks, ChannelParams())
+        seeded = data.draw(st.lists(st.permutations(range(n)), max_size=4))
+        pso = PsoParams(swarm_size=swarm, iterations_static=iterations)
+        plan = pso_optimize_static(
+            tasks, CFG1, ChannelParams(), pso, seed=seed, seed_orderings=seeded
+        )
+        starts = [
+            sorted(range(n), key=lambda i: (base[i].arrival, base[i].id)),
+            sorted(range(n), key=lambda i: (base[i].deadline, base[i].id)),
+            *seeded,
+        ]
+        for start in starts:
+            assert plan.objective <= objective(
+                replay_ordering(base, start, 1), CFG1.lambda_weight
+            ) + 1e-12
+
     @pytest.mark.parametrize(
         "warm", [(0, 1), (0, 0, 1, 1, 2, 2), tuple(range(7))], ids=["short", "repeats", "long"]
     )
