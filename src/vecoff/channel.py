@@ -1,8 +1,8 @@
 """Wireless link model between vehicles and the roadside unit.
 
-Tasks that become ready for transmission at the same instant share the
-uplink: each gets a slice of the total bandwidth proportional to its size,
-so simultaneous transfers finish together. A task transmitting alone gets
+Tasks that arrive at the RSU at the same instant share the uplink: each
+gets a slice of the total bandwidth proportional to its size, so
+simultaneous transfers finish together. A task transmitting alone gets
 the whole band. "Same instant" means within EPS_SIMULTANEOUS, which absorbs
 float noise; under a Poisson workload real coincidences are rare, so the
 sharing rule mostly degenerates to full-bandwidth grants.
@@ -21,26 +21,8 @@ from typing import Iterable, Sequence
 
 from .domain import ChannelParams, Task
 
-# Two ready instants closer than this are treated as simultaneous.
+# Two arrivals at most this far apart are treated as simultaneous.
 EPS_SIMULTANEOUS = 1e-6
-
-
-@dataclass
-class ConcurrentSet:
-    """Tasks whose transmissions start at (effectively) one instant."""
-
-    offload_time: float
-    task_ids: list[int]
-    sizes: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.task_ids) != len(self.sizes):
-            raise ValueError("task_ids and sizes must have equal length")
-        if not self.task_ids:
-            raise ValueError("a concurrent set cannot be empty")
-
-    def __len__(self) -> int:
-        return len(self.task_ids)
 
 
 @dataclass
@@ -53,8 +35,8 @@ class BandwidthEvent:
     bandwidth_max: float
 
 
-def allocate_bandwidth(cset: ConcurrentSet, bandwidth_max: float) -> list[float]:
-    """Split the band across one concurrent set.
+def allocate_bandwidth(sizes: Sequence[float], bandwidth_max: float) -> list[float]:
+    """Split the band across transfers of ``sizes`` bits that share it.
 
     A lone transmitter gets exactly ``bandwidth_max``; several transmitters
     split it proportionally to their sizes, which makes their transfers end
@@ -62,10 +44,10 @@ def allocate_bandwidth(cset: ConcurrentSet, bandwidth_max: float) -> list[float]
     """
     if bandwidth_max <= 0:
         raise ValueError(f"bandwidth_max must be positive, got {bandwidth_max}")
-    if len(cset) == 1:
+    if len(sizes) == 1:
         return [bandwidth_max]
-    total = sum(cset.sizes)
-    return [bandwidth_max * s / total for s in cset.sizes]
+    total = sum(sizes)
+    return [bandwidth_max * s / total for s in sizes]
 
 
 def rate(bandwidth: float, params: ChannelParams) -> float:
@@ -84,58 +66,33 @@ def comm_time(size: float, link_rate: float) -> float:
     return size / link_rate
 
 
-def group_ready_instants(
-    items: Sequence[tuple[Task, float]],
-    eps: float = EPS_SIMULTANEOUS,
-) -> list[ConcurrentSet]:
-    """Partition (task, ready instant) pairs into concurrent sets.
-
-    Instants are chained: a gap below ``eps`` joins two neighbours into the
-    same set. The set's nominal offload time is its earliest member's.
-    """
-    if not items:
-        return []
-    ordered = sorted(items, key=lambda it: (it[1], it[0].id))
-    groups: list[list[tuple[Task, float]]] = [[ordered[0]]]
-    for task, ready in ordered[1:]:
-        if ready - groups[-1][-1][1] <= eps:
-            groups[-1].append((task, ready))
-        else:
-            groups.append([(task, ready)])
-    out = []
-    for group in groups:
-        t0 = group[0][1]
-        out.append(
-            ConcurrentSet(
-                offload_time=t0,
-                task_ids=[task.id for task, _ in group],
-                sizes=[float(task.size) for task, _ in group],
-            )
-        )
-    return out
-
-
 def attach_comm_times(
     tasks: Iterable[Task], params: ChannelParams
 ) -> list[BandwidthEvent]:
     """Compute and store ``comm_time`` for every task, in place.
 
-    Tasks arriving at the RSU at one instant form a concurrent set and
-    share the band for that transfer. Returns the log of every sharing
-    decision so callers can audit that allocations always sum to the band.
+    Tasks arriving at the RSU at one instant share the band for that
+    transfer. Arrivals are chained: a gap of at most EPS_SIMULTANEOUS joins
+    two neighbours in (arrival, id) order, and a group's instant is its
+    earliest member's. Returns one event per group, the log of every
+    sharing decision, so callers can audit that allocations always sum to
+    the band.
     """
-    items = [(task, task.arrival) for task in tasks]
+    groups: list[list[Task]] = []
+    for task in sorted(tasks, key=lambda t: (t.arrival, t.id)):
+        if groups and task.arrival - groups[-1][-1].arrival <= EPS_SIMULTANEOUS:
+            groups[-1].append(task)
+        else:
+            groups.append([task])
     events = []
-    by_id = {task.id: task for task, _ in items}
-    for cset in group_ready_instants(items):
-        allocations = allocate_bandwidth(cset, params.bandwidth_max)
-        for task_id, grant in zip(cset.task_ids, allocations):
-            task = by_id[task_id]
+    for group in groups:
+        allocations = allocate_bandwidth([float(t.size) for t in group], params.bandwidth_max)
+        for task, grant in zip(group, allocations):
             task.comm_time = comm_time(task.size, rate(grant, params))
         events.append(
             BandwidthEvent(
-                time=cset.offload_time,
-                task_ids=list(cset.task_ids),
+                time=group[0].arrival,
+                task_ids=[t.id for t in group],
                 allocations=allocations,
                 bandwidth_max=params.bandwidth_max,
             )

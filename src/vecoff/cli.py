@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .config import ExperimentConfig, default_config, load_config
@@ -51,27 +52,34 @@ def _parse_policy_args(pairs: list[str], default_algo: str | None) -> dict[str, 
 
 def _parse_cost_arg(text: str | None) -> dict[str, float] | None:
     """``--synthetic-exec-cost``: a single float applied to every
-    algorithm, or ``algo=seconds`` pairs separated by commas."""
+    algorithm, or ``algo=seconds`` pairs separated by commas. Every cost
+    must be finite and non-negative; one error names each one that is not."""
     if text is None:
         return None
     text = text.strip()
     try:
         flat = float(text)
     except ValueError:
-        pass
+        costs: dict[str, float] = {}
+        for part in text.split(","):
+            if "=" not in part:
+                raise ValueError(
+                    f"--synthetic-exec-cost expects a float or algo=seconds pairs, got {part!r}"
+                )
+            algo, value = part.split("=", 1)
+            algo = algo.strip()
+            if algo not in ALGO_TAGS:
+                raise ValueError(f"unknown algorithm tag {algo!r} in --synthetic-exec-cost")
+            costs[algo] = float(value)
+        given = {f"{algo}={cost}": cost for algo, cost in costs.items()}
     else:
-        return {algo: flat for algo in ALGO_TAGS}
-    costs: dict[str, float] = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise ValueError(
-                f"--synthetic-exec-cost expects a float or algo=seconds pairs, got {part!r}"
-            )
-        algo, value = part.split("=", 1)
-        algo = algo.strip()
-        if algo not in ALGO_TAGS:
-            raise ValueError(f"unknown algorithm tag {algo!r} in --synthetic-exec-cost")
-        costs[algo] = float(value)
+        costs = dict.fromkeys(ALGO_TAGS, flat)
+        given = {text: flat}
+    bad = [label for label, cost in given.items() if not (math.isfinite(cost) and cost >= 0)]
+    if bad:
+        raise ValueError(
+            "--synthetic-exec-cost must be finite and non-negative, got " + ", ".join(bad)
+        )
     return costs
 
 

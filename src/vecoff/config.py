@@ -5,7 +5,7 @@ The sections mirror the package layout: ``sim``, ``geometry``,
 top-level ``train_vehicles``. The encoder contract is not a section:
 ``ExperimentConfig.encoder`` derives it from ``sim``. One codec serves
 every section: ``section_to_dict`` writes a section's fields under their
-names, and ``section_from_dict`` reads them back, turning JSON lists
+names, and ``config_from_dict`` reads them back, turning JSON lists
 into tuples.
 Two fields say in their metadata that they are stored differently:
 ``SimConfig.lambda_weight`` under the key ``"lambda"`` (``"key"``) and
@@ -68,18 +68,6 @@ def section_to_dict(obj: Any) -> dict[str, Any]:
             value = {f"{w}x{h}": v for (w, h), v in sorted(value.items())}
         out[f.metadata.get("key", f.name)] = value
     return out
-
-
-def section_from_dict(cls: type, d: Any) -> Any:
-    """Build one section from its JSON object; missing fields take defaults.
-
-    Raises one ConfigError listing every unknown field, malformed
-    ``WxH`` key, mistyped value and violated invariant.
-    """
-    section, problems = _decode(cls, d)
-    if problems:
-        raise ConfigError(problems)
-    return section
 
 
 def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:

@@ -119,12 +119,6 @@ class Task:
         d["status"] = self.status.value
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Task":
-        d = dict(d)
-        d["status"] = TaskStatus(d["status"])
-        return cls(**d)
-
 
 @dataclass
 class MecState:
@@ -150,21 +144,6 @@ class MecState:
             )
         self.busy_intervals.append((start, end))
         self.available_at = end
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "available_at": self.available_at,
-            "busy_intervals": [list(iv) for iv in self.busy_intervals],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "MecState":
-        return cls(
-            id=d["id"],
-            available_at=d["available_at"],
-            busy_intervals=[tuple(iv) for iv in d["busy_intervals"]],
-        )
 
 
 # The bounds a config field may declare in its metadata: the words that

@@ -36,7 +36,7 @@ _ARRIVAL = 1
 
 
 class SchedulingProtocolError(RuntimeError):
-    """A scheduler broke the engine contract (bad index, negative duration)."""
+    """A scheduler broke the engine contract (bad index, duration not >= 0)."""
 
 
 @dataclass
@@ -320,8 +320,8 @@ def episode_loop(
                     f"scheduler returned {choice!r} for a window of "
                     f"{len(window.feasible)} feasible tasks"
                 )
-            if duration < 0:
-                raise SchedulingProtocolError(f"negative decision duration {duration}")
+            if not duration >= 0:
+                raise SchedulingProtocolError(f"decision duration must be >= 0, got {duration}")
             record.duration = duration
             if cfg.charge_exec_time and duration > 0:
                 clock += duration

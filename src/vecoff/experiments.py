@@ -22,7 +22,8 @@ from typing import Any, Mapping, Sequence, get_type_hints
 from . import heuristics
 from .engine import EpisodeResult, objective, objective_normalized, run_episode
 from .mobility import episode_seeds, generate_trace, spawn_tasks
-from .rl.policy import PolicyContractError, PolicyScheduler
+from .rl.encoding import PolicyContractError
+from .rl.policy import PolicyScheduler
 
 ALGO_TAGS = ("off-sta-pso", "on-dyn-pso", "dqn", "ppo", "fcfs", "sdf")
 DEFAULT_SEEDS = tuple(range(1, 11))

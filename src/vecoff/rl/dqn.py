@@ -101,16 +101,6 @@ class ReplayBuffer:
         return rng.integers(0, self.size, size=batch)
 
 
-def _masked_max(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise max over masked-in entries; rows with no entries give 0."""
-    neg = np.where(mask, q, -np.inf)
-    any_valid = mask.any(axis=1)
-    out = np.zeros(q.shape[0])
-    if any_valid.any():
-        out[any_valid] = neg[any_valid].max(axis=1)
-    return out
-
-
 def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
     """Train a Q-network on ``env`` and return the greedy policy.
 
@@ -197,7 +187,9 @@ def _learn_step(
     m2 = buffer.next_masks[idx]
     d = buffer.dones[idx]
 
-    q_next = _masked_max(target.forward(s2), m2)
+    # only terminal rows have no valid next action; their -inf max is
+    # discarded with the rest of their bootstrap
+    q_next = np.where(m2, target.forward(s2), -np.inf).max(axis=1)
     bootstrap = np.where(d, 0.0, params.gamma * q_next)
     target_q = r + bootstrap
 

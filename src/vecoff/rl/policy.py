@@ -20,8 +20,7 @@ import numpy as np
 
 from ..domain import MecState
 from ..engine import DecisionWindow
-# PolicyContractError is raised by encode_state; deployers import it from here
-from .encoding import EncoderSpec, PolicyContractError, encode_state
+from .encoding import EncoderSpec, encode_state
 from .nets import Mlp
 
 POLICY_FORMAT_VERSION = 1

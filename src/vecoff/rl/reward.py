@@ -34,21 +34,17 @@ class RewardBreakdown:
     r_total: float
 
 
-def decision_reward(
-    window: DecisionWindow, chosen: int, t_e_av: float | None = None
-) -> RewardBreakdown:
+def decision_reward(window: DecisionWindow, chosen: int) -> RewardBreakdown:
     """Score choosing ``window.feasible[chosen]``.
 
-    Gaps are measured against ``t_e_av`` when given, else against the
-    window's recorded earliest availability.
+    Gaps are measured against the window's earliest availability.
     """
     feas = window.feasible
     if not feas:
         raise ValueError("cannot score an empty window")
     if not (0 <= chosen < len(feas)):
         raise ValueError(f"chosen index {chosen} outside window of {len(feas)}")
-    t_av = window.earliest_avail if t_e_av is None else t_e_av
-    gaps = [t.deadline - t_av for t in feas]
+    gaps = [t.deadline - window.earliest_avail for t in feas]
     gap_total = sum(gaps)
     proc_total = sum(t.proc_time for t in feas)
     if gap_total <= 0.0 or proc_total <= 0.0:

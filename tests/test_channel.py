@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from vecoff.channel import (
     EPS_SIMULTANEOUS,
-    ConcurrentSet,
     allocate_bandwidth,
     attach_comm_times,
     comm_time,
-    group_ready_instants,
     rate,
 )
 from vecoff.domain import ChannelParams
@@ -18,65 +16,60 @@ from vecoff.domain import ChannelParams
 from conftest import make_task
 
 
-def pair(tid, ready, size):
-    task = make_task(tid, arrival=ready, proc=0.1, remaining=20.0, size=size)
-    return (task, ready)
+def groups(arrivals, sizes=None):
+    """(time, task ids) of each sharing group for tasks arriving at ``arrivals``."""
+    sizes = sizes or [1e6] * len(arrivals)
+    tasks = [
+        make_task(i, arrival=a, proc=0.1, remaining=20.0, size=s)
+        for i, (a, s) in enumerate(zip(arrivals, sizes))
+    ]
+    return [(ev.time, ev.task_ids) for ev in attach_comm_times(tasks, ChannelParams())]
 
 
 class TestConcurrentSets:
+    """Arrivals that share the uplink, read from attach_comm_times's events."""
+
     def test_three_ready_at_same_instant(self):
-        items = [pair(0, 5.0, 1e6), pair(1, 5.0, 2e6), pair(2, 5.0, 3e6), pair(3, 6.0, 1e6)]
-        first, second = group_ready_instants(items)
-        assert first.task_ids == [0, 1, 2]
-        assert first.sizes == [1e6, 2e6, 3e6]
-        assert second.task_ids == [3]
+        found = groups([5.0, 5.0, 5.0, 6.0], sizes=[1e6, 2e6, 3e6, 1e6])
+        assert found == [(5.0, [0, 1, 2]), (6.0, [3])]
 
     def test_single_ready_task(self):
-        groups = group_ready_instants([pair(0, 5.0, 1e6), pair(1, 6.0, 1e6)])
-        assert [(g.offload_time, g.task_ids) for g in groups] == [(5.0, [0]), (6.0, [1])]
+        assert groups([5.0, 6.0]) == [(5.0, [0]), (6.0, [1])]
 
     def test_within_tolerance_is_same_set(self):
-        dt = EPS_SIMULTANEOUS / 2
-        (cs,) = group_ready_instants([pair(0, 5.0, 1e6), pair(1, 5.0 + dt, 1e6)])
-        assert len(cs) == 2
-        assert cs.offload_time == 5.0
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            ConcurrentSet(offload_time=0.0, task_ids=[], sizes=[])
+        assert groups([5.0, 5.0 + EPS_SIMULTANEOUS / 2]) == [(5.0, [0, 1])]
 
     def test_grouping_chains_nearby_instants(self):
-        groups = group_ready_instants([pair(0, 1.0, 1e6), pair(1, 2.0, 1e6), pair(2, 2.0, 2e6)])
-        assert [g.task_ids for g in groups] == [[0], [1, 2]]
+        assert [ids for _, ids in groups([1.0, 2.0, 2.0])] == [[0], [1, 2]]
+        step = EPS_SIMULTANEOUS * 0.75
+        assert groups([5.0, 5.0 + step, 5.0 + 2 * step]) == [(5.0, [0, 1, 2])]
+
+    def test_lone_arrival_is_its_own_group(self):
+        assert groups([3.0]) == [(3.0, [0])]
 
     def test_grouping_empty_input(self):
-        assert group_ready_instants([]) == []
+        assert groups([]) == []
 
 
 class TestAllocateBandwidth:
     def test_one_to_three_split(self):
-        cs = ConcurrentSet(offload_time=0.0, task_ids=[0, 1], sizes=[1e6, 3e6])
-        assert allocate_bandwidth(cs, 20e6) == [5e6, 15e6]
+        assert allocate_bandwidth([1e6, 3e6], 20e6) == [5e6, 15e6]
 
     def test_single_task_gets_everything_exactly(self):
-        cs = ConcurrentSet(offload_time=0.0, task_ids=[4], sizes=[123.0])
-        assert allocate_bandwidth(cs, 20e6) == [20e6]
+        assert allocate_bandwidth([123.0], 20e6) == [20e6]
 
     def test_four_equal_sizes(self):
-        cs = ConcurrentSet(offload_time=0.0, task_ids=[0, 1, 2, 3], sizes=[2e6] * 4)
-        assert allocate_bandwidth(cs, 20e6) == [5e6] * 4
+        assert allocate_bandwidth([2e6] * 4, 20e6) == [5e6] * 4
 
     def test_nonpositive_band_rejected(self):
-        cs = ConcurrentSet(offload_time=0.0, task_ids=[0], sizes=[1e6])
         with pytest.raises(ValueError):
-            allocate_bandwidth(cs, 0.0)
+            allocate_bandwidth([1e6], 0.0)
 
     @given(
         sizes=st.lists(st.floats(1e3, 1e8, allow_nan=False), min_size=1, max_size=12)
     )
     def test_conservation(self, sizes):
-        cs = ConcurrentSet(offload_time=0.0, task_ids=list(range(len(sizes))), sizes=sizes)
-        alloc = allocate_bandwidth(cs, 20e6)
+        alloc = allocate_bandwidth(sizes, 20e6)
         assert math.isclose(sum(alloc), 20e6, rel_tol=1e-9)
         assert all(a > 0 for a in alloc)
 

@@ -136,6 +136,26 @@ class TestRun:
         assert "--policy" in err
         assert "dqn" in err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--synthetic-exec-cost=nan"], "nan"),
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--synthetic-exec-cost=-1"], "-1"),
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--synthetic-exec-cost=inf"], "inf"),
+        (["matrix", "--algos", "fcfs,sdf", "--vehicles", "50", "--seeds", "1",
+          "--synthetic-exec-cost", "sdf=0,fcfs=nan"], "fcfs=nan"),
+    ], ids=["run-nan", "run-negative", "run-inf", "matrix-nan-pair"])
+    def test_bad_synthetic_cost_is_named(self, tmp_path, argv, bad):
+        src = os.path.dirname(os.path.dirname(vecoff.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vecoff.cli", *argv, "--seed", "1",
+             "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: --synthetic-exec-cost ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.rstrip().endswith(f"got {bad}")
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

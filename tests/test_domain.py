@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from vecoff.config import section_from_dict, section_to_dict
+from vecoff.config import config_from_dict, section_to_dict
 from vecoff.domain import (
     ChannelParams,
     ConfigError,
@@ -59,7 +57,7 @@ class TestSimConfig:
 
     def test_round_trip(self):
         cfg = SimConfig(num_mecs=3, lambda_weight=0.7, charge_exec_time=False)
-        assert section_from_dict(SimConfig, section_to_dict(cfg)) == cfg
+        assert config_from_dict({"sim": section_to_dict(cfg)}).sim == cfg
 
     def test_lambda_serializes_under_short_key(self):
         d = section_to_dict(SimConfig())
@@ -68,12 +66,6 @@ class TestSimConfig:
 
 
 class TestTask:
-    def test_round_trip_identity(self):
-        t = make_task(3, arrival=1.5, proc=0.2, remaining=8.0, comm=0.05)
-        t.transition(TaskStatus.COMPLETED)
-        t.start_proc = 2.0
-        assert Task.from_dict(t.to_dict()) == t
-
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError, match="size"):
             make_task(0, arrival=0.0, proc=0.1, remaining=1.0, size=0.0)
@@ -108,24 +100,8 @@ class TestTask:
         c.transition(TaskStatus.COMPLETED)
         assert t.status is TaskStatus.PENDING
 
-    @given(
-        arrival=st.floats(0.0, 100.0, allow_nan=False),
-        proc=st.floats(0.01, 10.0, allow_nan=False),
-        remaining=st.floats(0.0, 50.0, allow_nan=False),
-        size=st.floats(1.0, 1e8),
-    )
-    def test_serialization_identity_property(self, arrival, proc, remaining, size):
-        t = make_task(7, arrival=arrival, proc=proc, remaining=remaining, size=size)
-        assert Task.from_dict(t.to_dict()) == t
-
 
 class TestMecState:
-    def test_round_trip(self):
-        m = MecState(id=1)
-        m.add_busy(0.0, 2.0)
-        m.add_busy(2.0, 3.5)
-        assert MecState.from_dict(m.to_dict()) == m
-
     def test_add_busy_advances_availability(self):
         m = MecState(id=1)
         m.add_busy(1.0, 4.0)
@@ -151,7 +127,7 @@ class TestChannelParams:
 
     def test_round_trip(self):
         p = ChannelParams(bandwidth_max=10e6, tx_power=2.0)
-        assert section_from_dict(ChannelParams, section_to_dict(p)) == p
+        assert config_from_dict({"channel": section_to_dict(p)}).channel == p
 
     def test_snr_composition(self):
         p = ChannelParams(tx_power=3.0, channel_gain=2.0, noise_density=1.5)

@@ -322,6 +322,11 @@ class TestEngineContract:
         with pytest.raises(SchedulingProtocolError):
             loop.send((0, -1.0))
 
+    def test_nan_duration_rejected(self):
+        loop = self.queued_window_loop()
+        with pytest.raises(SchedulingProtocolError, match="nan"):
+            loop.send((0, math.nan))
+
     def test_tasks_must_be_pending(self):
         cfg = SimConfig(num_mecs=1, charge_exec_time=False)
         t = make_task(0, arrival=0.0, proc=1.0, remaining=20.0, comm=0.01)
@@ -343,6 +348,15 @@ class TestEngineContract:
         ]
         with pytest.raises(ValueError, match="duplicate"):
             next(episode_loop(tasks, cfg), None)
+
+    def test_duplicate_task_ids_are_named_through_run_episode(self):
+        cfg = SimConfig(num_mecs=1, charge_exec_time=False)
+        tasks = [
+            make_task(0, arrival=0.0, proc=1.0, remaining=20.0),
+            make_task(0, arrival=1.0, proc=1.0, remaining=20.0),
+        ]
+        with pytest.raises(ValueError, match="duplicate task id 0"):
+            run_episode(tasks, FcfsScheduler(), cfg, ChannelParams())
 
 
 class TestEpisodeInvariants:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecoff import heuristics
-from vecoff.config import section_from_dict, section_to_dict
+from vecoff.config import config_from_dict, section_to_dict
 from vecoff.domain import ChannelParams, MecState, SimConfig, TaskStatus
 from vecoff.engine import DecisionWindow, run_episode, slack
 from vecoff.experiments import objective
@@ -489,4 +489,4 @@ class TestInducedOrdering:
 class TestPsoParams:
     def test_round_trip(self):
         p = PsoParams(swarm_size=12, iterations_static=7)
-        assert section_from_dict(PsoParams, section_to_dict(p)) == p
+        assert config_from_dict({"pso": section_to_dict(p)}).pso == p

@@ -1,13 +1,20 @@
-"""Every name a vecoff module imports is read, exported or allow-listed.
+"""Every name a vecoff module imports is read, exported or allow-listed,
+and a module loads only what it imports.
 
 The scan reads each module under ``src/vecoff`` with ``ast``. A name an
 import binds passes when the module reads it somewhere (annotations
 count, string annotations included), lists it in ``__all__``, or when it
 is on ``ALLOWED``: deliberate re-exports with no ``__all__`` to name them.
+The packages re-export nothing, so importing one module must not load
+the rest; fresh interpreters check that.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,10 +22,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vecoff"
 MODULES = sorted(SRC.rglob("*.py"))
 
 # (module path relative to src/vecoff, imported name)
-ALLOWED = {
-    # raised by encode_state; deployers import it from rl.policy
-    ("rl/policy.py", "PolicyContractError"),
-}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -104,3 +108,27 @@ def test_scan_sees_through_exports_and_annotations():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == [("os", 2), ("Dead", 4)]
+
+
+def modules_loaded_by(module: str) -> list[str]:
+    """Every module a fresh interpreter holds after ``import module``."""
+    code = f"import json, sys; import {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    return json.loads(proc.stdout)
+
+
+def test_engine_loads_only_its_own_imports():
+    loaded = modules_loaded_by("vecoff.engine")
+    ours = [m for m in loaded if m == "vecoff" or m.startswith("vecoff.")]
+    assert ours == ["vecoff", "vecoff.channel", "vecoff.domain", "vecoff.engine"]
+    assert "numpy" not in loaded
+
+
+def test_encoding_does_not_load_the_trainers():
+    loaded = set(modules_loaded_by("vecoff.rl.encoding"))
+    trainers = {"vecoff.rl.dqn", "vecoff.rl.ppo", "vecoff.rl.envs", "vecoff.rl.training"}
+    assert loaded & trainers == set()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vecoff.config import default_config, section_from_dict, section_to_dict
+from vecoff.config import config_from_dict, default_config, section_to_dict
 from vecoff.domain import ConfigError, dumps
 from vecoff.experiments import build_episode_tasks
 from vecoff.mobility import (
@@ -387,7 +387,7 @@ class TestWorkloadModel:
         )
         d = json.loads(dumps(section_to_dict(wl)))
         assert d["proc_time_table"] == {"320x240": 0.08, "640x480": 0.15}
-        assert section_from_dict(WorkloadModel, d) == wl
+        assert config_from_dict({"workload": d}).workload == wl
 
 
 class TestSpawnTasks:

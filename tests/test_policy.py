@@ -5,11 +5,10 @@ import pytest
 
 from vecoff.domain import ChannelParams, MecState, SimConfig
 from vecoff.engine import run_episode
-from vecoff.rl.encoding import EncoderSpec
+from vecoff.rl.encoding import EncoderSpec, PolicyContractError
 from vecoff.rl.nets import Mlp
 from vecoff.rl.policy import (
     Policy,
-    PolicyContractError,
     PolicyFormatError,
     PolicyScheduler,
     load_policy,
