@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -153,6 +154,7 @@ POSITIVE = {"bound": ("must be positive", lambda v: v > 0)}
 NON_NEGATIVE = {"bound": ("must not be negative", lambda v: v >= 0)}
 UNIT = {"bound": ("must lie in [0, 1]", lambda v: 0 <= v <= 1)}
 UNIT_NO_ZERO = {"bound": ("must lie in (0, 1]", lambda v: 0 < v <= 1)}
+FINITE = {"bound": ("must be finite", math.isfinite)}
 NON_EMPTY = {"bound": ("must be non-empty", lambda v: True)}
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false"}

@@ -14,6 +14,13 @@ per-window swarm replays each distinct ordering once per window and
 reuses its score: a window holds few tasks, so its particles mostly
 decode to orderings already scored.
 
+``replay_cost`` keeps the server availabilities in a heap rather than
+in server order. A replay's score depends only on the multiset of
+availabilities: each task starts at the least of them, whichever server
+holds it, and placing the task swaps that one value for its finish time.
+So serving from any least-available server gives the same multiset
+after every step, and the same score, as serving from the first one.
+
 The offline optimizer assumes full knowledge of the episode's arrivals,
 which an online scheduler never has. It is not a bound on its own: it
 never finishes worse than the orderings it is warm-started with, so it
@@ -24,6 +31,7 @@ schedule the online algorithms of the same trace executed.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,7 +41,8 @@ import numpy as np
 
 from .channel import attach_comm_times
 from .domain import (
-    NON_NEGATIVE, POSITIVE, ChannelParams, MecState, SimConfig, Task, TaskStatus, check_fields,
+    FINITE, NON_NEGATIVE, POSITIVE, ChannelParams, MecState, SimConfig, Task, TaskStatus,
+    check_fields,
 )
 from .engine import (
     DecisionWindow,
@@ -55,10 +64,11 @@ class PsoParams:
     # zero iterations scores only the starting swarm
     iterations_static: int = field(default=100, metadata=NON_NEGATIVE)
     iterations_dynamic: int = field(default=30, metadata=NON_NEGATIVE)
-    inertia: float = 0.729
-    c1: float = 1.49
-    c2: float = 1.49
-    velocity_clamp: float = 1.0
+    inertia: float = field(default=0.729, metadata=FINITE)
+    c1: float = field(default=1.49, metadata=FINITE)
+    c2: float = field(default=1.49, metadata=FINITE)
+    # infinity leaves velocities unclamped
+    velocity_clamp: float = field(default=1.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -166,7 +176,7 @@ def decode_priorities(x: np.ndarray) -> list[tuple[int, ...]]:
     Each row's task positions sorted by ascending priority key; tied keys
     keep the lower position first.
     """
-    return list(map(tuple, np.argsort(x, axis=1, kind="stable").tolist()))
+    return list(map(tuple, x.argsort(axis=1, kind="stable").tolist()))
 
 
 def _ordering_to_position(ordering: Sequence[int], n: int) -> np.ndarray:
@@ -228,6 +238,13 @@ def replay_cost(
     ``max(availability, arrival)``, or is dropped when its waiting would
     exceed its slack.
 
+    The availabilities are a heap, so the task goes to *a*
+    least-available server, not to the first one. The score cannot tell
+    the two apart: it reads only the multiset of availabilities, and
+    replacing any copy of the least value with the finish time leaves
+    the same multiset. A property test pins the heap bit for bit to the
+    first-server rule.
+
     Latencies are summed in replay order, or in column order when
     ``task_order`` is set; for id-ordered columns replayed from idle
     servers the latter equals ``objective(replay_ordering(...))`` bit for
@@ -236,17 +253,18 @@ def replay_cost(
     swarm's definition: the offline swarm sums in task order and the
     per-window swarm in replay order.
     """
-    av = list(avails)
+    av = sorted(avails)  # a sorted list is a heap
     lats = [0.0] * len(arrivals)
     drops = 0
     for pos in order:
-        free = min(av)
-        j = av.index(free)
-        start = max(free, arrivals[pos])
-        waiting = start - arrivals[pos]
+        free = av[0]
+        arrival = arrivals[pos]
+        start = arrival if arrival > free else free
+        waiting = start - arrival
         if waiting <= slacks[pos]:
-            av[j] = start + procs[pos]
-            lats[pos] = waiting + procs[pos] + 2.0 * comms[pos]
+            proc = procs[pos]
+            heapq.heapreplace(av, start + proc)
+            lats[pos] = waiting + proc + 2.0 * comms[pos]
         else:
             drops += 1
     lat = sum(lats) if task_order else sum(map(lats.__getitem__, order))
@@ -288,28 +306,33 @@ def swarm_search(
         x[row] = _ordering_to_position(ordering, n)
 
     pbest_x = x.copy()
-    pbest_val = np.full(swarm, np.inf)
+    pbest_val = [math.inf] * swarm
     best_val = math.inf
     best_ord: tuple[int, ...] = ()
     for step in range(iterations + 1):
         if step:  # step 0 scores the starting swarm
-            r1 = rng.uniform(size=(swarm, n))
-            r2 = rng.uniform(size=(swarm, n))
+            r1, r2 = rng.random((2, swarm, n))
             v = (
                 pso.inertia * v
                 + pso.c1 * r1 * (pbest_x - x)
                 + pso.c2 * r2 * (gbest_x - x)
             )
-            np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)
-            x = x + v
+            # np.clip's result, measured faster on a window's small arrays
+            np.maximum(v, -pso.velocity_clamp, out=v)
+            np.minimum(v, pso.velocity_clamp, out=v)
+            x += v
         for i, order in enumerate(decode_priorities(x)):
             val = score(order)
             if val < pbest_val[i]:
                 pbest_val[i] = val
                 pbest_x[i] = x[i]
-            if val < best_val:
-                best_val, best_ord = val, order
-        gbest_x = pbest_x[int(np.argmin(pbest_val))].copy()
+                # best_val <= pbest_val[i] always, so only a new personal
+                # best can be a new swarm best
+                if val < best_val:
+                    best_val, best_ord = val, order
+        # the first least personal best, as np.argmin picks; a view, which
+        # no write reaches before the next step reads it
+        gbest_x = pbest_x[pbest_val.index(min(pbest_val))]
     return best_val, best_ord
 
 

@@ -192,8 +192,14 @@ def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
     ({"pso": {"iterations_dynamic": -2}}, "pso: iterations_dynamic must not be negative"),
     ({"pso": {"iterations_static": -1}}, "pso: iterations_static must not be negative"),
     ({"pso": {"swarm_size": 0}}, "pso: swarm_size must be positive"),
+    # each of these froze the swarm at its start, or turned it to NaN
+    ({"pso": {"velocity_clamp": -1.0}}, "pso: velocity_clamp must be positive"),
+    ({"pso": {"velocity_clamp": 0.0}}, "pso: velocity_clamp must be positive"),
+    ({"pso": {"c1": float("inf")}}, "pso: c1 must be finite"),
+    ({"pso": {"inertia": float("-inf")}}, "pso: inertia must be finite"),
 ], ids=["radius-str", "charge-str", "swarm-str", "inertia-null", "tx-nan", "mecs-bool",
-        "table-str", "dynamic-iterations-negative", "static-iterations-negative", "swarm-zero"])
+        "table-str", "dynamic-iterations-negative", "static-iterations-negative", "swarm-zero",
+        "clamp-negative", "clamp-zero", "c1-infinite", "inertia-minus-infinite"])
 def test_mistyped_value_is_named_with_its_field(tmp_path, capsys, doc, fault):
     code = main(["gen-trace", "--config", write_json(tmp_path, doc),
                  "--out", str(tmp_path / "trace.csv")])

@@ -145,6 +145,26 @@ class TestReplayOrdering:
         assert result.tasks[1].status is TaskStatus.DROPPED
 
 
+def first_server_replay_cost(order, avails, arrivals, procs, comms, slacks, lam, task_order):
+    """``replay_cost`` as a per-server scan: each task goes to the first
+    least-available server, in server order."""
+    av = list(avails)
+    lats = [0.0] * len(arrivals)
+    drops = 0
+    for pos in order:
+        free = min(av)
+        j = av.index(free)
+        start = max(free, arrivals[pos])
+        waiting = start - arrivals[pos]
+        if waiting <= slacks[pos]:
+            av[j] = start + procs[pos]
+            lats[pos] = waiting + procs[pos] + 2.0 * comms[pos]
+        else:
+            drops += 1
+    lat = sum(lats) if task_order else sum(map(lats.__getitem__, order))
+    return lam * lat + (1.0 - lam) * drops / len(order)
+
+
 class TestReplayCost:
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -171,6 +191,35 @@ class TestReplayCost:
         # summed in task order, as the objective sums, it is exact
         assert replay_cost(*args, task_order=True) == reference
 
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 20),
+        num_mecs=st.integers(1, 4),
+        tight=st.booleans(),
+        task_order=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_heap_equals_the_first_least_available_server(
+        self, data, seed, n, num_mecs, tight, task_order
+    ):
+        rng = np.random.default_rng(seed)
+        base = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
+        # few distinct availabilities, so servers tie, and unequal starts
+        avails = data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=num_mecs, max_size=num_mecs
+        ))
+        order = tuple(rng.permutation(n).tolist())
+        args = (
+            [t.arrival for t in base],
+            [t.proc_time for t in base],
+            [t.comm_time for t in base],
+            [slack(t) for t in base],
+            0.4,
+        )
+        expected = first_server_replay_cost(order, avails, *args, task_order=task_order)
+        assert replay_cost(order, avails, *args, task_order=task_order) == expected
+
     def test_replay_starts_from_the_given_availabilities(self):
         # one server busy until 1.0: the task waits 1.0 and still fits
         # its 2.5 s of slack; busy until 3.0 it cannot, and is dropped
@@ -192,6 +241,38 @@ class TestSwarmSearch:
         val, order = swarm_search(score, 7, [], 5, FAST_PSO, rng)
         assert len(scored) > 1
         assert val == scored[order] == min(scored.values())
+
+    @pytest.mark.parametrize("case, seed, expected", [
+        ("window", 3, (1.0, (0, 2, 3, 4, 1), 0.2771291572368878)),
+        ("window", 11, (1.0, (3, 2, 0, 1, 4), 0.1328618881297463)),
+        ("offline", 3, (222.0, (
+            6, 39, 10, 30, 38, 18, 34, 27, 2, 8, 14, 3, 19, 22, 26, 12, 23, 15, 35, 31,
+            7, 11, 4, 32, 37, 24, 36, 13, 0, 5, 9, 28, 21, 17, 20, 33, 16, 25, 1, 29,
+        ), 0.5242067559698691)),
+        ("offline", 11, (224.0, (
+            26, 15, 22, 31, 35, 38, 18, 34, 10, 14, 3, 19, 27, 2, 30, 7, 6, 23, 39, 16,
+            11, 1, 28, 12, 24, 4, 32, 37, 9, 0, 8, 21, 33, 5, 13, 36, 29, 17, 25, 20,
+        ), 0.9477697726145582)),
+    ])
+    def test_random_stream_is_pinned(self, case, seed, expected):
+        # the result and the generator's next draw pin the search's draw
+        # order and draw count; the window case has on-dyn-pso's shape,
+        # the offline case off-sta-pso's warm starts. The score takes few
+        # values, so personal bests tie and the result also pins which of
+        # them leads the swarm.
+        n, starts, iterations = {
+            "window": (5, [range(5)], 30),
+            "offline": (40, [
+                range(40), range(39, -1, -1), [*range(0, 40, 2), *range(1, 40, 2)],
+            ], 10),
+        }[case]
+        weights = [(3 * pos + 1) % 4 for pos in range(n)]
+        rng = np.random.default_rng(seed)
+        val, order = swarm_search(
+            lambda order: float(sum(weights[pos] * (rank // 3) for rank, pos in enumerate(order))),
+            n, starts, iterations, PsoParams(), rng,
+        )
+        assert (val, order, rng.random()) == expected
 
 
 class TestBruteForceOracle:
@@ -363,9 +444,10 @@ class TestDynamicPso:
             sched.select(empty, [MecState(id=1)], now=0.0)
 
     def test_frozen_swarm_takes_the_window_head(self):
-        # one particle pinned at the arrival-order keys with zero velocity
-        # clamp cannot move: the search degenerates to "pick index 0"
-        params = PsoParams(swarm_size=1, iterations_dynamic=5, velocity_clamp=0.0)
+        # one particle pinned at the arrival-order keys with zero weights
+        # has zero velocity and cannot move: the search degenerates to
+        # "pick index 0"
+        params = PsoParams(swarm_size=1, iterations_dynamic=5, inertia=0.0, c1=0.0, c2=0.0)
         sched = DynamicPsoScheduler(params, 0.4, seed=9)
         tasks = [
             make_task(0, arrival=0.0, proc=5.0, remaining=30.0, comm=0.1),
