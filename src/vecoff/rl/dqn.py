@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..domain import POSITIVE, UNIT, UNIT_NO_ZERO, check_fields, field_faults
+from ..domain import NON_NEGATIVE, POSITIVE, UNIT, UNIT_NO_ZERO, check_fields, field_faults
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
 from .policy import Policy, masked_argmax
@@ -33,7 +33,7 @@ HUBER_DELTA = 1.0
 @dataclass
 class DqnParams:
     episodes: int = field(default=2500, metadata=POSITIVE)
-    lr: float = 1e-4
+    lr: float = field(default=1e-4, metadata=POSITIVE)
     gamma: float = field(default=0.3, metadata=UNIT_NO_ZERO)
     batch_size: int = field(default=64, metadata=POSITIVE)
     replay_capacity: int = field(default=50_000, metadata=POSITIVE)
@@ -42,10 +42,10 @@ class DqnParams:
     eps_end: float = field(default=0.05, metadata=UNIT)
     eps_anneal_frac: float = field(default=0.6, metadata=UNIT_NO_ZERO)
     explore_full_frac: float = field(default=0.5, metadata=UNIT)
-    warmup: int = 128
+    warmup: int = field(default=128, metadata=NON_NEGATIVE)
     updates_per_step: int = field(default=1, metadata=POSITIVE)
     hidden: tuple[int, ...] = field(default=(128, 128), metadata=POSITIVE)
-    eval_every: int = 50
+    eval_every: int = field(default=50, metadata=NON_NEGATIVE)
     eval_episodes: int = field(default=10, metadata=POSITIVE)
 
     def __post_init__(self) -> None:

@@ -5,6 +5,18 @@ and checkable against finite differences. Layers are fully connected;
 hidden activations are ReLU or tanh, outputs are always linear (callers
 apply their own loss heads). Initialization scales with fan-in and is
 driven entirely by the supplied generator, so a seed fixes the network.
+
+A learning step allocates no array the size of a parameter. ``backward``
+writes each weight gradient into a buffer its network owns, and ``Adam``
+computes its update in two scratch arrays per parameter; both are made
+once and reused. The hidden layers are 128x128 float64, 128 KiB: at
+glibc's initial 128 KiB mmap threshold every fresh array of that size
+is a new mapping, paid for in page faults. ``backward`` also applies
+the activation's derivative in place, which for ReLU saves two
+batch-sized temporaries per hidden layer. Each array operation is the
+IEEE operation, in the order, of the whole-array expression it
+replaces, so results are bit-identical to computing with fresh
+temporaries.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ class Mlp:
     Weights have shape (fan_in, fan_out); inputs are row vectors, batches
     are stacked rows.
     """
+
+    _grad_w: list[np.ndarray] | None = None  # made by the first ``backward``
 
     def __init__(
         self,
@@ -79,7 +93,7 @@ class Mlp:
 
     def _act_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         if self.activation == "relu":
-            return (z > 0.0).astype(z.dtype)
+            return z > 0.0  # multiplies as 1.0 and 0.0
         return 1.0 - a * a
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
@@ -107,19 +121,24 @@ class Mlp:
 
         ``grad_out`` is dLoss/d(output), shaped like the forward output.
         Returns gradients aligned with ``params()``.
+
+        The weight gradients are buffers this network owns, made at its
+        first ``backward`` call (so nets that only run forward, such as
+        target nets, snapshot clones and loaded policies, hold none). The
+        next ``backward`` call on the same network overwrites them: copy
+        a gradient that must outlive it. Bias gradients are fresh arrays.
         """
         pre, post, squeeze = cache
         g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-        grads_w: list[np.ndarray] = [None] * len(self.weights)
-        grads_b: list[np.ndarray] = [None] * len(self.biases)
+        if self._grad_w is None:
+            self._grad_w = [np.empty_like(w) for w in self.weights]
+        out: list[np.ndarray] = [None] * (2 * len(self.weights))
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = post[i].T @ g
-            grads_b[i] = g.sum(axis=0)
+            out[2 * i] = np.matmul(post[i].T, g, out=self._grad_w[i])
+            out[2 * i + 1] = g.sum(axis=0)
             if i > 0:
-                g = (g @ self.weights[i].T) * self._act_grad(pre[i - 1], post[i])
-        out = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.extend((gw, gb))
+                g = g @ self.weights[i].T
+                g *= self._act_grad(pre[i - 1], post[i])
         return out
 
 
@@ -127,7 +146,9 @@ class Adam:
     """Adaptive-moment optimizer over a fixed parameter list.
 
     Updates the arrays in place; the parameter list must keep its identity
-    between steps.
+    between steps. Each parameter has two scratch arrays of its shape,
+    made here, that hold the update while ``step`` computes it, so a
+    step allocates nothing the size of a parameter.
     """
 
     def __init__(
@@ -146,6 +167,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         if len(grads) != len(self.params):
@@ -155,9 +177,20 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), one operation at a
+        # time in the order that expression evaluates, written into t and u
+        for p, g, m, v, (t, u) in zip(self.params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=t)
+            m += t
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, g, out=t)
+            np.multiply(1.0 - self.beta2, t, out=t)
+            v += t
+            np.divide(m, b1c, out=t)
+            np.multiply(self.lr, t, out=t)
+            np.divide(v, b2c, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            t /= u
+            p -= t

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..domain import POSITIVE, UNIT, UNIT_NO_ZERO, check_fields
+from ..domain import NON_NEGATIVE, POSITIVE, UNIT, UNIT_NO_ZERO, check_fields
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
 from .policy import Policy, masked_softmax
@@ -25,8 +25,8 @@ from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResul
 @dataclass
 class PpoParams:
     episodes: int = field(default=2500, metadata=POSITIVE)
-    lr_actor: float = 3e-4
-    lr_critic: float = 3e-4
+    lr_actor: float = field(default=3e-4, metadata=POSITIVE)
+    lr_critic: float = field(default=3e-4, metadata=POSITIVE)
     gamma: float = field(default=0.95, metadata=UNIT_NO_ZERO)
     gae_lambda: float = field(default=0.95, metadata=UNIT)
     clip: float = field(default=0.2, metadata=POSITIVE)
@@ -35,7 +35,7 @@ class PpoParams:
     minibatch: int = field(default=64, metadata=POSITIVE)
     entropy_coef: float = 0.01
     hidden: tuple[int, ...] = field(default=(128, 128), metadata=POSITIVE)
-    eval_every: int = 50
+    eval_every: int = field(default=50, metadata=NON_NEGATIVE)
     eval_episodes: int = field(default=10, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
@@ -67,16 +67,19 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
     state, mask = env.reset()
     ep_reward = 0.0
 
+    # the rollout store, rewritten from row 0 by every rollout
+    n = params.rollout
+    states = np.zeros((n, enc.state_dim))
+    masks = np.zeros((n, enc.action_dim), dtype=bool)
+    actions = np.zeros(n, dtype=np.int64)
+    logprobs = np.zeros(n)
+    rewards = np.zeros(n)
+    dones = np.zeros(n, dtype=bool)
+    values = np.zeros(n)
+
     while len(reward_curve) < params.episodes:
-        # one rollout, cut wherever the step budget lands
-        n = params.rollout
-        states = np.zeros((n, enc.state_dim))
-        masks = np.zeros((n, enc.action_dim), dtype=bool)
-        actions = np.zeros(n, dtype=np.int64)
-        logprobs = np.zeros(n)
-        rewards = np.zeros(n)
-        dones = np.zeros(n, dtype=bool)
-        values = np.zeros(n)
+        # one rollout, cut wherever the step budget lands; rows from t on
+        # are stale and never read
         t = 0
         while t < n:
             probs = masked_softmax(actor.forward(state), mask)
@@ -104,11 +107,11 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
             else:
                 state, mask = nxt
 
-        states, masks, actions = states[:t], masks[:t], actions[:t]
-        logprobs, rewards, dones, values = logprobs[:t], rewards[:t], dones[:t], values[:t]
-        bootstrap = 0.0 if dones[-1] else float(critic.forward(state)[0])
-        advantages = _gae(rewards, values, dones, bootstrap, params.gamma, params.gae_lambda)
-        returns = advantages + values
+        bootstrap = 0.0 if dones[t - 1] else float(critic.forward(state)[0])
+        advantages = _gae(
+            rewards[:t], values[:t], dones[:t], bootstrap, params.gamma, params.gae_lambda
+        )
+        returns = advantages + values[:t]
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
         for _ in range(params.epochs):

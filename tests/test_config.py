@@ -197,9 +197,20 @@ def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
     ({"pso": {"velocity_clamp": 0.0}}, "pso: velocity_clamp must be positive"),
     ({"pso": {"c1": float("inf")}}, "pso: c1 must be finite"),
     ({"pso": {"inertia": float("-inf")}}, "pso: inertia must be finite"),
+    # each of these trained wrongly without a word: an eval at every 10th
+    # episode (ep % -10 == 0), no learning, gradient ascent, a negative warmup
+    ({"dqn": {"eval_every": -10}}, "dqn: eval_every must not be negative"),
+    ({"ppo": {"eval_every": -10}}, "ppo: eval_every must not be negative"),
+    ({"dqn": {"lr": 0.0}}, "dqn: lr must be positive"),
+    ({"dqn": {"lr": -1e-4}}, "dqn: lr must be positive"),
+    ({"ppo": {"lr_actor": 0.0}}, "ppo: lr_actor must be positive"),
+    ({"ppo": {"lr_critic": -3e-4}}, "ppo: lr_critic must be positive"),
+    ({"dqn": {"warmup": -5}}, "dqn: warmup must not be negative"),
 ], ids=["radius-str", "charge-str", "swarm-str", "inertia-null", "tx-nan", "mecs-bool",
         "table-str", "dynamic-iterations-negative", "static-iterations-negative", "swarm-zero",
-        "clamp-negative", "clamp-zero", "c1-infinite", "inertia-minus-infinite"])
+        "clamp-negative", "clamp-zero", "c1-infinite", "inertia-minus-infinite",
+        "dqn-eval-every-negative", "ppo-eval-every-negative", "dqn-lr-zero", "dqn-lr-negative",
+        "ppo-lr-actor-zero", "ppo-lr-critic-negative", "dqn-warmup-negative"])
 def test_mistyped_value_is_named_with_its_field(tmp_path, capsys, doc, fault):
     code = main(["gen-trace", "--config", write_json(tmp_path, doc),
                  "--out", str(tmp_path / "trace.csv")])

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vecoff.rl.nets import Adam, Mlp
 
@@ -76,7 +80,97 @@ class TestBackprop:
         assert np.allclose(grads[1], 4.0)
 
 
+    @given(
+        sizes=st.lists(st.sampled_from([1, 3, 16, 66, 128]), min_size=2, max_size=4),
+        batch=st.sampled_from([1, 5, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layers_and_weight_gradients_equal_fresh_products(self, sizes, batch, seed):
+        # twice on one net, so the second call reuses the first call's buffers
+        rng = np.random.default_rng(seed)
+        net = Mlp(sizes, rng=rng)
+        for _ in range(2):
+            x = rng.standard_normal((batch, sizes[0]))
+            _, cache = net.forward(x, want_cache=True)
+            grad_out = rng.standard_normal((batch, sizes[-1]))
+            grads = net.backward(cache, grad_out)
+            pre, post, _ = cache
+            g = grad_out
+            for i in range(len(net.weights) - 1, -1, -1):
+                assert np.array_equal(pre[i], post[i] @ net.weights[i] + net.biases[i])
+                assert np.array_equal(grads[2 * i], post[i].T @ g)
+                assert np.array_equal(grads[2 * i + 1], g.sum(axis=0))
+                if i > 0:
+                    g = (g @ net.weights[i].T) * (pre[i - 1] > 0.0).astype(np.float64)
+
+    def test_backward_reuses_its_weight_gradient_buffers(self):
+        rng = np.random.default_rng(7)
+        net = Mlp([5, 8, 3], rng=rng)
+        _, cache = net.forward(rng.standard_normal((4, 5)), want_cache=True)
+        first = net.backward(cache, rng.standard_normal((4, 3)))
+        second = net.backward(cache, rng.standard_normal((4, 3)))
+        assert all(a is b for a, b in zip(first[0::2], second[0::2]))
+        twin = net.clone()
+        own = twin.backward(cache, rng.standard_normal((4, 3)))
+        assert not any(a is b for a, b in zip(own[0::2], first[0::2]))
+
+
+def _adam_by_expression(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam update as whole-array expressions with fresh temporaries."""
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        b1c = 1.0 - beta1**t
+        b2c = 1.0 - beta2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+    return ms, vs
+
+
 class TestAdam:
+    @given(
+        shapes=st.lists(
+            st.sampled_from([(128, 128), (66, 128), (128, 16), (128,), (16,)])
+            | st.tuples(st.integers(1, 9), st.integers(1, 9)),
+            min_size=1,
+            max_size=4,
+        ),
+        steps=st.integers(1, 5),
+        lr=st.floats(1e-6, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_is_bit_identical_to_the_expression(self, shapes, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        start = [rng.standard_normal(s) for s in shapes]
+        grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(steps)]
+        params = [p.copy() for p in start]
+        opt = Adam(params, lr=lr)
+        for grads in grad_steps:
+            opt.step(grads)
+        expected = [p.copy() for p in start]
+        ms, vs = _adam_by_expression(expected, grad_steps, lr)
+        for got, want in zip(params + opt.m + opt.v, expected + ms + vs):
+            assert np.array_equal(got, want)
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        rng = np.random.default_rng(0)
+        params = Mlp([66, 128, 128, 16], rng=rng).params()
+        grads = [rng.standard_normal(p.shape) for p in params]
+        opt = Adam(params, lr=1e-3)
+        opt.step(grads)  # warm-up
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < max(p.nbytes for p in params)
+
     def test_minimizes_a_quadratic(self):
         target = np.array([3.0, -2.0, 0.5])
         w = np.zeros(3)
