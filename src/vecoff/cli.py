@@ -83,6 +83,22 @@ def _parse_cost_arg(text: str | None) -> dict[str, float] | None:
     return costs
 
 
+def _parse_int_list(flag: str, text: str) -> list[int]:
+    """A comma-separated list of integers; one error names the flag and
+    every entry that is not one."""
+    values, bad = [], []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            bad.append(part)
+    if bad:
+        raise ValueError(
+            f"{flag} expects comma-separated integers, got " + ", ".join(map(repr, bad))
+        )
+    return values
+
+
 def _load_policies(paths: dict[str, str]) -> dict[str, object]:
     from .rl.policy import load_policy
 
@@ -185,13 +201,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     policies = _require_policies(algos, args)
     costs = _parse_cost_arg(args.synthetic_exec_cost)
     vehicle_counts = (
-        [int(v) for v in args.vehicles.split(",")]
+        _parse_int_list("--vehicles", args.vehicles)
         if args.vehicles
         else list(DEFAULT_VEHICLE_COUNTS)
     )
-    seeds = (
-        [int(s) for s in args.seeds.split(",")] if args.seeds else list(DEFAULT_SEEDS)
-    )
+    seeds = _parse_int_list("--seeds", args.seeds) if args.seeds else list(DEFAULT_SEEDS)
     report = run_matrix(
         config,
         algos=algos,

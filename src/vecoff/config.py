@@ -31,9 +31,8 @@ from typing import Any
 from .domain import ChannelParams, ConfigError, SimConfig, dumps, fits
 from .heuristics import PsoParams
 from .mobility import ScenarioGeometry, WorkloadModel
-from .rl.dqn import DqnParams
 from .rl.encoding import EncoderSpec
-from .rl.ppo import PpoParams
+from .rl.params import DqnParams, PpoParams
 
 
 @dataclass

@@ -113,7 +113,15 @@ class Task:
         self.status = new_status
 
     def copy(self) -> "Task":
-        return dataclasses.replace(self)
+        # positional, in field order: the constructor's own attribute
+        # stores, at a fraction of dataclasses.replace's cost; reading
+        # __dict__ instead would materialise a dict in both objects
+        return Task(
+            self.id, self.vehicle_id, self.arrival, self.size, self.proc_time,
+            self.deadline, self.remaining_in_range, self.start_proc, self.waiting,
+            self.comm_time, self.comp_latency, self.e2e_latency, self.assigned_mec,
+            self.status,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)

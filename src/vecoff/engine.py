@@ -345,8 +345,30 @@ def episode_loop(
     )
 
 
+@dataclass(frozen=True)
+class PreparedEpisode:
+    """A task list made ready to simulate, once.
+
+    ``tasks`` are pending tasks in (arrival, id) order with comm times
+    attached, and ``bandwidth_events`` is the sharing log that attaching
+    them wrote (empty when its holder keeps none). Both are read-only:
+    ``run_episode`` simulates fresh copies of the tasks and hands each
+    result the log, so one preparation serves every run on the list.
+    """
+
+    tasks: tuple[Task, ...]
+    bandwidth_events: tuple[BandwidthEvent, ...]
+
+
+def prepare_episode(tasks: Sequence[Task], channel_params) -> PreparedEpisode:
+    """Copy ``tasks`` in (arrival, id) order and attach their comm times."""
+    work = [t.copy() for t in sorted(tasks, key=lambda t: (t.arrival, t.id))]
+    events = attach_comm_times(work, channel_params)
+    return PreparedEpisode(tuple(work), tuple(events))
+
+
 def run_episode(
-    tasks: Sequence[Task],
+    tasks: Sequence[Task] | PreparedEpisode,
     scheduler: Scheduler,
     cfg: SimConfig,
     channel_params,
@@ -354,15 +376,20 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one episode under ``scheduler``.
 
-    The input tasks are copied, so a task list can be replayed under many
-    schedulers. Each scheduler invocation is timed with a wall clock;
-    ``exec_cost``, when given, replaces the measured duration with a fixed
-    synthetic cost so runs become exactly reproducible. With
-    ``cfg.charge_exec_time`` false the result is a pure function of
-    (tasks, scheduler decisions).
+    ``tasks`` is a task list, which is copied and given comm times under
+    ``channel_params``, or a ``PreparedEpisode``, whose copies are
+    simulated as they are. Either way the input is left untouched, so a
+    task list can be replayed under many schedulers. Each scheduler
+    invocation is timed with a wall clock; ``exec_cost``, when given,
+    replaces the measured duration with a fixed synthetic cost so runs
+    become exactly reproducible. With ``cfg.charge_exec_time`` false the
+    result is a pure function of (tasks, scheduler decisions).
     """
-    work = [t.copy() for t in sorted(tasks, key=lambda t: (t.arrival, t.id))]
-    bandwidth_events = attach_comm_times(work, channel_params)
+    if isinstance(tasks, PreparedEpisode):
+        work = [t.copy() for t in tasks.tasks]
+    else:
+        tasks = prepare_episode(tasks, channel_params)
+        work = list(tasks.tasks)  # a preparation no one else holds
     loop = episode_loop(work, cfg)
     try:
         point = next(loop)
@@ -374,5 +401,5 @@ def run_episode(
             point = loop.send((choice, duration))
     except StopIteration as stop:
         result: EpisodeResult = stop.value
-    result.bandwidth_events = bandwidth_events
+    result.bandwidth_events = list(tasks.bandwidth_events)
     return result

@@ -16,11 +16,19 @@ import csv
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence, get_type_hints
 
 from . import heuristics
-from .engine import EpisodeResult, objective, objective_normalized, run_episode
+from .engine import (
+    EpisodeResult,
+    PreparedEpisode,
+    objective,
+    objective_normalized,
+    prepare_episode,
+    run_episode,
+)
 from .mobility import episode_seeds, generate_trace, spawn_tasks
 from .rl.encoding import PolicyContractError
 from .rl.policy import PolicyScheduler
@@ -293,14 +301,18 @@ def run_cell(
     making the run byte-for-byte reproducible. The offline optimizer runs
     uncharged; its reported execution time is its optimization wall-clock
     (or the map's value, read as a total, in synthetic mode).
-    ``seed_orderings`` warm-starts the offline swarm and is ignored by the
-    online algorithms.
+    ``tasks`` is the run's task list or its ``PreparedEpisode``; when it
+    is None the list is built from the seed. ``seed_orderings``
+    warm-starts the offline swarm and is ignored by the online algorithms.
     """
     sim = replace(config.sim, num_vehicles=vehicles, rng_seed=seed)
     if tasks is None:
         _, tasks = build_episode_tasks(config, vehicles, seed)
 
     if algo == "off-sta-pso":
+        # the swarm and the replay of its plan read one preparation
+        if not isinstance(tasks, PreparedEpisode):
+            tasks = prepare_episode(tasks, config.channel)
         t0 = time.perf_counter()
         plan = heuristics.pso_optimize_static(
             tasks, sim, config.channel, config.pso, seed,
@@ -336,21 +348,33 @@ def run_matrix(
     """The full comparison: algorithms x densities x seeded runs.
 
     Every algorithm sees the same task list for a given (density, seed),
-    so rows are comparable within a column. The offline optimizer runs
-    after the online algorithms of its column and warm-starts its swarm
-    with the schedules they actually executed, which pins it to its role
-    as the performance bound: it can only improve on them.
+    so rows are comparable within a column; the list is prepared once
+    per column and every cell runs on copies of it. The offline
+    optimizer runs after the online algorithms of its column and
+    warm-starts its swarm with the schedules they actually executed,
+    which pins it to its role as the performance bound: it can only
+    improve on them. Repeated tags, densities or seeds are rejected.
     """
     for algo in algos:
         if algo not in ALGO_TAGS:
             raise ValueError(f"unknown algorithm tag {algo!r}")
+    repeats = [
+        f"{what} {', '.join(map(repr, dup))}"
+        for what, values in (
+            ("algorithm tags", algos), ("densities", vehicle_counts), ("seeds", seeds)
+        )
+        if (dup := [v for v, n in Counter(values).items() if n > 1])
+    ]
+    if repeats:
+        raise ValueError("repeated " + "; repeated ".join(repeats))
     report = MetricsReport()
     ordered = [a for a in algos if a != "off-sta-pso"] + [
         a for a in algos if a == "off-sta-pso"
     ]
     for vehicles in vehicle_counts:
-        task_sets = {
-            seed: build_episode_tasks(config, vehicles, seed)[1] for seed in seeds
+        columns = {
+            seed: prepare_episode(build_episode_tasks(config, vehicles, seed)[1], config.channel)
+            for seed in seeds
         }
         executed: dict[int, list[tuple[int, ...]]] = {seed: [] for seed in seeds}
         rows_by_algo: dict[str, list[RunRow]] = {}
@@ -365,7 +389,7 @@ def run_matrix(
                     seed=seed,
                     policies=policies,
                     synthetic_costs=synthetic_costs,
-                    tasks=task_sets[seed],
+                    tasks=columns[seed],
                     seed_orderings=executed[seed],
                 )
                 cell_rows.append(row)

@@ -47,6 +47,7 @@ from .domain import (
 from .engine import (
     DecisionWindow,
     EpisodeResult,
+    PreparedEpisode,
     assign,
     earliest_availability,
     objective,
@@ -212,8 +213,13 @@ def brute_force_oracle(
     return AssignmentPlan(ordering=best_ord, objective=best_val)
 
 
-def prepare_tasks(tasks: Sequence[Task], params: ChannelParams) -> list[Task]:
-    """Copies in id order with comm times attached."""
+def prepare_tasks(
+    tasks: Sequence[Task] | PreparedEpisode, params: ChannelParams
+) -> list[Task]:
+    """The tasks in id order with comm times attached, to be read, not
+    mutated: a prepared episode's own tasks, or copies of plain ones."""
+    if isinstance(tasks, PreparedEpisode):
+        return sorted(tasks.tasks, key=lambda t: t.id)
     base = [t.copy() for t in sorted(tasks, key=lambda t: t.id)]
     attach_comm_times(base, params)
     return base
@@ -337,7 +343,7 @@ def swarm_search(
 
 
 def pso_optimize_static(
-    tasks: Sequence[Task],
+    tasks: Sequence[Task] | PreparedEpisode,
     cfg: SimConfig,
     params: ChannelParams,
     pso: PsoParams,
@@ -350,7 +356,8 @@ def pso_optimize_static(
     arrival-order particle and a deadline-order particle, plus any
     caller-provided ``seed_orderings`` (permutations of the task
     positions), so the search never finishes worse than those replays.
-    Returns the best plan ever evaluated.
+    ``tasks`` may be a ``PreparedEpisode``, whose comm times it reads as
+    they are. Returns the best plan ever evaluated.
     """
     base = prepare_tasks(tasks, params)
     n = len(base)

@@ -27,8 +27,10 @@ from ..engine import (
     DecisionPoint,
     DecisionWindow,
     EpisodeResult,
+    PreparedEpisode,
     episode_loop,
     objective,
+    prepare_episode,
     run_episode,
 )
 from ..mobility import ScenarioGeometry, WorkloadModel, episode_seeds, generate_trace, spawn_tasks
@@ -72,26 +74,31 @@ class OffloadEnv:
         self._seed_rng = np.random.default_rng(seed)
         # the held-out stream: disjoint from the training stream
         self._held_out_rng = np.random.default_rng(seed + 1_000_003)
-        self._held_out: list[list[Task]] = []
+        self._held_out: list[PreparedEpisode] = []
         self._loop = None
         self._point: DecisionPoint | None = None
         self.episodes_seen = 0
         self.last_result: EpisodeResult | None = None
 
     def _draw_playable(
-        self, rng: np.random.Generator, on_copies: bool = False
-    ) -> tuple[list[Task], Generator, DecisionPoint]:
-        """The next draw of ``rng``'s stream that reaches a decision window:
-        its tasks, comm times attached, and the engine paused at that
-        window, on the drawn tasks or, ``on_copies``, on copies of them."""
+        self, rng: np.random.Generator, prepare: bool = False
+    ) -> tuple[list[Task] | PreparedEpisode, Generator, DecisionPoint]:
+        """The next draw of ``rng``'s stream that reaches a decision window,
+        and the engine paused at that window: the drawn tasks, comm times
+        attached, with the engine running on them, or, ``prepare``, the
+        draw's ``PreparedEpisode`` with the engine running on copies."""
         for _ in range(MAX_REDRAWS):
             trace_seed, task_seed = episode_seeds(int(rng.integers(0, 2**31 - 1)))
             trace = generate_trace(self.geometry, self.vehicles, trace_seed)
             tasks = spawn_tasks(
                 trace, self.geometry, self.workload, self.sim.tasks_per_vehicle, task_seed
             )
-            attach_comm_times(tasks, self.channel)
-            loop = episode_loop([t.copy() for t in tasks] if on_copies else tasks, self.sim)
+            if prepare:
+                tasks = prepare_episode(tasks, self.channel)
+                loop = episode_loop([t.copy() for t in tasks.tasks], self.sim)
+            else:
+                attach_comm_times(tasks, self.channel)
+                loop = episode_loop(tasks, self.sim)
             try:
                 return tasks, loop, next(loop)
             except StopIteration:
@@ -134,8 +141,8 @@ class OffloadEnv:
     def snapshot_score(self, policy: Policy, episodes: int = 10) -> float:
         """Greedy scheduling quality of ``policy``, as a score to maximize.
 
-        Replays a held-out episode set, drawn once from this environment's
-        seed and disjoint from its training stream, under
+        Replays a held-out episode set, drawn and prepared once from this
+        environment's seed and disjoint from its training stream, under
         ``PolicyScheduler`` at zero decision cost, and returns the negated
         mean scheduling objective. Trainers use this to pick the snapshot
         worth deploying: per-episode reward sums barely move with policy
@@ -144,12 +151,14 @@ class OffloadEnv:
         objective is the quantity schedulers actually compete on.
         """
         while len(self._held_out) < episodes:
-            tasks, _, _ = self._draw_playable(self._held_out_rng, on_copies=True)
-            self._held_out.append(tasks)
+            episode, _, _ = self._draw_playable(self._held_out_rng, prepare=True)
+            # only objectives are read, so the set keeps no sharing log
+            # (about 0.27 MB per env at 100 vehicles)
+            self._held_out.append(PreparedEpisode(episode.tasks, ()))
         scheduler = PolicyScheduler(policy)
         total = 0.0
-        for tasks in self._held_out[:episodes]:
-            result = run_episode(tasks, scheduler, self.sim, self.channel, exec_cost=0.0)
+        for episode in self._held_out[:episodes]:
+            result = run_episode(episode, scheduler, self.sim, self.channel, exec_cost=0.0)
             total += objective(result, self.sim.lambda_weight)
         return -total / episodes
 

@@ -11,35 +11,13 @@ zero probability and never enter the log-partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..domain import NON_NEGATIVE, POSITIVE, UNIT, UNIT_NO_ZERO, check_fields
 from .encoding import EncoderSpec
 from .nets import Adam, Mlp
+from .params import PpoParams
 from .policy import Policy, masked_softmax
 from .training import REWARD_SCALE, SnapshotKeeper, TrainingDiverged, TrainResult
-
-
-@dataclass
-class PpoParams:
-    episodes: int = field(default=2500, metadata=POSITIVE)
-    lr_actor: float = field(default=3e-4, metadata=POSITIVE)
-    lr_critic: float = field(default=3e-4, metadata=POSITIVE)
-    gamma: float = field(default=0.95, metadata=UNIT_NO_ZERO)
-    gae_lambda: float = field(default=0.95, metadata=UNIT)
-    clip: float = field(default=0.2, metadata=POSITIVE)
-    rollout: int = field(default=2048, metadata=POSITIVE)
-    epochs: int = field(default=10, metadata=POSITIVE)
-    minibatch: int = field(default=64, metadata=POSITIVE)
-    entropy_coef: float = 0.01
-    hidden: tuple[int, ...] = field(default=(128, 128), metadata=POSITIVE)
-    eval_every: int = field(default=50, metadata=NON_NEGATIVE)
-    eval_episodes: int = field(default=10, metadata=POSITIVE)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 def _sample_from(probs: np.ndarray, rng: np.random.Generator) -> int:

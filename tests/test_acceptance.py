@@ -34,9 +34,10 @@ from vecoff.heuristics import (
     brute_force_oracle,
     pso_optimize_static,
 )
-from vecoff.rl.dqn import DqnParams, train_dqn
+from vecoff.rl.dqn import train_dqn
 from vecoff.rl.envs import OffloadEnv, ToyTwoActionEnv
 from vecoff.rl.nets import Mlp
+from vecoff.rl.params import DqnParams
 from vecoff.rl.policy import PolicyScheduler, load_policy, masked_argmax, save_policy
 from vecoff.rl.ppo import train_ppo
 from vecoff.rl.reward import decision_reward

@@ -319,3 +319,26 @@ class TestMatrixAndExport:
         ])
         assert code == 1
         assert "--policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, bad", [
+        ("--vehicles", "50,x", "'x'"),
+        ("--seeds", "1,,2.5", "'', '2.5'"),
+    ])
+    def test_non_integer_list_entry_is_named(self, tmp_path, capsys, flag, value, bad):
+        out = tmp_path / "r.csv"
+        code = main(["matrix", "--algos", "fcfs", flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} expects comma-separated integers, got {bad}\n"
+        assert not out.exists()
+
+    def test_repeated_seed_fails_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main([
+            "matrix", "--algos", "fcfs,fcfs", "--vehicles", "20", "--seeds", "1,1",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: repeated algorithm tags 'fcfs'; repeated seeds 1\n"
+        assert not out.exists()

@@ -14,9 +14,8 @@ from vecoff.config import (
 from vecoff.domain import ChannelParams, ConfigError, SimConfig
 from vecoff.heuristics import PsoParams
 from vecoff.mobility import ScenarioGeometry, WorkloadModel
-from vecoff.rl.dqn import DqnParams
 from vecoff.rl.encoding import EncoderSpec
-from vecoff.rl.ppo import PpoParams
+from vecoff.rl.params import DqnParams, PpoParams
 
 SECTIONS = ("sim", "geometry", "workload", "channel", "pso", "dqn", "ppo")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from vecoff.domain import (
     Task,
     TaskStatus,
 )
+from vecoff.engine import assign
 
 from conftest import make_task
 
@@ -99,6 +101,16 @@ class TestTask:
         c = t.copy()
         c.transition(TaskStatus.COMPLETED)
         assert t.status is TaskStatus.PENDING
+
+        # a completed task sets every field, each to a distinct value
+        done = make_task(1, arrival=0.5, proc=0.1, remaining=1.0, vehicle=7, comm=0.01)
+        assign(done, MecState(id=2, available_at=0.8))
+        names = [f.name for f in dataclasses.fields(Task)]
+        copied = done.copy()
+        assert len(names) == 14
+        assert [getattr(copied, n) for n in names] == [getattr(done, n) for n in names]
+        copied.assigned_mec, copied.waiting = 1, 0.0
+        assert (done.assigned_mec, done.waiting) == (2, 0.8 - 0.5)
 
 
 class TestMecState:

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from vecoff import engine, heuristics
 from vecoff.config import default_config
 from vecoff.domain import ChannelParams, SimConfig
+from vecoff.engine import prepare_episode
 from vecoff.experiments import (
     ALGO_TAGS,
     CSV_COLUMNS,
@@ -227,6 +230,56 @@ class TestMatrix:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_matrix(small_config(), algos=("lifo",), vehicle_counts=(20,), seeds=(1,))
+
+    def test_repeats_are_named_together(self):
+        with pytest.raises(ValueError) as err:
+            run_matrix(
+                small_config(), algos=("fcfs", "sdf", "fcfs"), vehicle_counts=(20, 30, 20),
+                seeds=(1, 2, 2, 1, 3),
+            )
+        assert str(err.value) == (
+            "repeated algorithm tags 'fcfs'; repeated densities 20; repeated seeds 1, 2"
+        )
+
+    def test_each_column_is_prepared_once(self, monkeypatch):
+        attaches = []
+        for module in (engine, heuristics):
+            real = module.attach_comm_times
+            monkeypatch.setattr(
+                module, "attach_comm_times", lambda *a, real=real: attaches.append(a) or real(*a)
+            )
+        cfg = small_config()
+        enc = cfg.encoder
+        rng = np.random.default_rng(0)
+        q, actor, critic = (
+            Mlp([enc.state_dim, 4, out], rng=rng) for out in (enc.action_dim, enc.action_dim, 1)
+        )
+        policies = {
+            "dqn": Policy("dqn", enc, {"q": q}),
+            "ppo": Policy("ppo", enc, {"actor": actor, "critic": critic}),
+        }
+        report = run_matrix(
+            cfg, algos=ALGO_TAGS, vehicle_counts=(30,), seeds=(1,), policies=policies,
+            synthetic_costs=dict.fromkeys(ALGO_TAGS, 0.0),
+        )
+        assert len(report.rows) == len(ALGO_TAGS)
+        assert len(attaches) == 1
+
+    @pytest.mark.parametrize("algo", ["fcfs", "off-sta-pso"])
+    def test_a_prepared_column_runs_as_its_task_list(self, algo):
+        cfg = small_config()
+        _, tasks = build_episode_tasks(cfg, 30, 1)
+        column = prepare_episode(tasks, cfg.channel)
+        costs = {algo: 0.0}
+        row, result = run_cell(cfg, algo, 30, "1", 1, synthetic_costs=costs, tasks=tasks)
+        for _ in range(2):
+            again, again_result = run_cell(
+                cfg, algo, 30, "1", 1, synthetic_costs=costs, tasks=column
+            )
+            assert again == row
+            assert again_result.tasks == result.tasks
+            assert again_result.bandwidth_events == result.bandwidth_events
+        assert all(t.comm_time is None for t in tasks)
 
     def test_fixed_cost_schedules_are_pinned(self):
         # exact objectives of the swarm and queue schedules; a refactor

@@ -128,7 +128,12 @@ def test_engine_loads_only_its_own_imports():
     assert "numpy" not in loaded
 
 
+TRAINERS = {"vecoff.rl.dqn", "vecoff.rl.ppo", "vecoff.rl.envs", "vecoff.rl.training"}
+
+
 def test_encoding_does_not_load_the_trainers():
-    loaded = set(modules_loaded_by("vecoff.rl.encoding"))
-    trainers = {"vecoff.rl.dqn", "vecoff.rl.ppo", "vecoff.rl.envs", "vecoff.rl.training"}
-    assert loaded & trainers == set()
+    assert set(modules_loaded_by("vecoff.rl.encoding")) & TRAINERS == set()
+
+
+def test_config_does_not_load_the_trainers():
+    assert set(modules_loaded_by("vecoff.config")) & TRAINERS == set()

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vecoff import engine
 from vecoff.rl import dqn, envs, ppo
-from vecoff.rl.dqn import DqnParams, ReplayBuffer, train_dqn
+from vecoff.rl.dqn import ReplayBuffer, train_dqn
 from vecoff.rl.envs import OffloadEnv, ToyTwoActionEnv
 from vecoff.rl.nets import Mlp
+from vecoff.rl.params import DqnParams, PpoParams
 from vecoff.rl.policy import Policy, masked_argmax, masked_softmax
-from vecoff.rl.ppo import PpoParams, train_ppo
+from vecoff.rl.ppo import train_ppo
 from vecoff.rl.training import SnapshotKeeper, TrainingDiverged
 from vecoff.config import default_config
 
@@ -150,6 +152,23 @@ def test_held_out_set_is_drawn_once(monkeypatch):
     drawn = len(draws)
     assert env.snapshot_score(policy, 2) == first
     assert drawn >= 2 and len(draws) == drawn
+
+
+def test_held_out_set_is_prepared_once(monkeypatch):
+    attaches = []
+    for module in (engine, envs):
+        real = module.attach_comm_times
+        monkeypatch.setattr(
+            module, "attach_comm_times", lambda *a, real=real: attaches.append(a) or real(*a)
+        )
+    env = tiny_offload_env()
+    enc = env.encoder
+    net = Mlp([enc.state_dim, 16, enc.action_dim], rng=np.random.default_rng(0))
+    policy = Policy("dqn", enc, {"q": net})
+    env.snapshot_score(policy, 2)
+    prepared = len(attaches)
+    env.snapshot_score(policy, 2)
+    assert prepared >= 2 and len(attaches) == prepared
 
 
 class TestTrainingDeterminism:
