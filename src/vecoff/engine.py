@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Generator, Protocol, Sequence
@@ -108,9 +109,7 @@ class EpisodeResult:
 
     @property
     def total_decision_time(self) -> float:
-        # start value keeps the windowless case a float, so reports
-        # serialize it the same way on every path
-        return sum((w.duration for w in self.windows), 0.0)
+        return math.fsum(w.duration for w in self.windows)
 
     def to_jsonl(self, path: str) -> None:
         """Dump one JSON record per task, then the window log."""
@@ -133,12 +132,13 @@ def objective(result: EpisodeResult, lambda_weight: float) -> float:
 
     The latency term is an unnormalized sum of seconds, so reports carry
     ``objective_normalized`` beside it as a dimension-free diagnostic; the
-    raw form is the one optimizers minimize.
+    raw form is the one optimizers minimize. The sum is ``math.fsum``,
+    correctly rounded, so it does not depend on the order of the tasks.
     """
     n = result.num_tasks
     if n == 0:
         return 0.0
-    lat = sum(t.e2e_latency for t in result.completed)
+    lat = math.fsum(t.e2e_latency for t in result.completed)
     return lambda_weight * lat + (1.0 - lambda_weight) * result.num_dropped / n
 
 
@@ -147,7 +147,7 @@ def objective_normalized(result: EpisodeResult, lambda_weight: float) -> float:
     n = result.num_tasks
     if n == 0:
         return 0.0
-    lat = sum(t.e2e_latency for t in result.completed)
+    lat = math.fsum(t.e2e_latency for t in result.completed)
     max_deadline = max(t.deadline for t in result.tasks)
     scale = n * max_deadline if max_deadline > 0 else n
     return lambda_weight * lat / scale + (1.0 - lambda_weight) * result.num_dropped / n

@@ -17,7 +17,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence, get_type_hints
 
 from . import heuristics
@@ -77,8 +77,9 @@ class RunRow:
         completed = result.completed
         n = result.num_tasks
         drop_ratio = result.num_dropped / n if n else 0.0
-        mean_e2e = sum(t.e2e_latency for t in completed) / len(completed) if completed else 0.0
-        mean_wait = sum(t.waiting for t in completed) / len(completed) if completed else 0.0
+        served = len(completed) or 1  # both sums are 0.0 when none was served
+        mean_e2e = math.fsum(t.e2e_latency for t in completed) / served
+        mean_wait = math.fsum(t.waiting for t in completed) / served
         windows = result.num_windows
         exec_s = result.total_decision_time if total_exec_s is None else total_exec_s
         per_window = exec_s / windows if windows else 0.0
@@ -136,26 +137,24 @@ _CELL_TYPES = get_type_hints(RunRow)
 CSV_COLUMNS = list(_CELL_TYPES)
 
 
+# The columns a mean row averages; it rounds the mean window count.
+_AVERAGED = (
+    "drop_ratio", "mean_e2e_s", "mean_wait_s", "objective", "objective_normalized",
+    "total_exec_s", "windows", "per_window_exec_s",
+)
+
+
 def _mean_row(rows: Sequence[RunRow]) -> RunRow:
     """Average the numeric columns of one (algo, vehicles) cell."""
-    n = len(rows)
-    mean_per_window = sum(r.per_window_exec_s for r in rows) / n
-    mean_total = sum(r.total_exec_s for r in rows) / n
-    mean_windows = sum(r.windows for r in rows) / n
+    mean = {name: math.fsum(getattr(r, name) for r in rows) / len(rows) for name in _AVERAGED}
+    exec_s = mean["per_window_exec_s"] if mean["windows"] else mean["total_exec_s"]
     return RunRow(
         algo=rows[0].algo,
         vehicles=rows[0].vehicles,
         run="mean",
         seed=-1,
-        drop_ratio=sum(r.drop_ratio for r in rows) / n,
-        mean_e2e_s=sum(r.mean_e2e_s for r in rows) / n,
-        mean_wait_s=sum(r.mean_wait_s for r in rows) / n,
-        objective=sum(r.objective for r in rows) / n,
-        objective_normalized=sum(r.objective_normalized for r in rows) / n,
-        total_exec_s=mean_total,
-        windows=round(mean_windows),
-        per_window_exec_s=mean_per_window,
-        log10_exec=_log10_or_neg_inf(mean_per_window if mean_windows else mean_total),
+        **{**mean, "windows": round(mean["windows"])},
+        log10_exec=_log10_or_neg_inf(exec_s),
     )
 
 
@@ -305,7 +304,7 @@ def run_cell(
     is None the list is built from the seed. ``seed_orderings``
     warm-starts the offline swarm and is ignored by the online algorithms.
     """
-    sim = replace(config.sim, num_vehicles=vehicles, rng_seed=seed)
+    sim = config.sim
     if tasks is None:
         _, tasks = build_episode_tasks(config, vehicles, seed)
 

@@ -233,7 +233,6 @@ def replay_cost(
     comms: Sequence[float],
     slacks: Sequence[float],
     lam: float,
-    task_order: bool = False,
 ) -> float:
     """Objective of one greedy replay, over plain per-task columns.
 
@@ -251,16 +250,12 @@ def replay_cost(
     the same multiset. A property test pins the heap bit for bit to the
     first-server rule.
 
-    Latencies are summed in replay order, or in column order when
-    ``task_order`` is set; for id-ordered columns replayed from idle
-    servers the latter equals ``objective(replay_ordering(...))`` bit for
-    bit. The two sums can differ in the last bits, and schedules hinge on
-    strict comparisons of these scores, so the order is part of each
-    swarm's definition: the offline swarm sums in task order and the
-    per-window swarm in replay order.
+    The latencies are summed by ``math.fsum``, as ``objective`` sums
+    them, so the score is the replayed schedule's objective bit for bit
+    whatever the order of the columns.
     """
     av = sorted(avails)  # a sorted list is a heap
-    lats = [0.0] * len(arrivals)
+    lats = []
     drops = 0
     for pos in order:
         free = av[0]
@@ -270,11 +265,10 @@ def replay_cost(
         if waiting <= slacks[pos]:
             proc = procs[pos]
             heapq.heapreplace(av, start + proc)
-            lats[pos] = waiting + proc + 2.0 * comms[pos]
+            lats.append(waiting + proc + 2.0 * comms[pos])
         else:
             drops += 1
-    lat = sum(lats) if task_order else sum(map(lats.__getitem__, order))
-    return lam * lat + (1.0 - lam) * drops / len(order)
+    return lam * math.fsum(lats) + (1.0 - lam) * drops / len(order)
 
 
 def _columns(tasks: Sequence[Task]) -> tuple[list[float], ...]:
@@ -374,7 +368,7 @@ def pso_optimize_static(
         *seed_orderings,
     ]
     best_val, best_ord = swarm_search(
-        lambda order: replay_cost(order, avails, *columns, lam, task_order=True),
+        lambda order: replay_cost(order, avails, *columns, lam),
         n, starts, pso.iterations_static, pso, np.random.default_rng(seed),
     )
     return AssignmentPlan(ordering=best_ord, objective=best_val)

@@ -17,6 +17,7 @@ behind the environment only ever sees valid choices.
 
 from __future__ import annotations
 
+import math
 from typing import Generator
 
 import numpy as np
@@ -156,11 +157,11 @@ class OffloadEnv:
             # (about 0.27 MB per env at 100 vehicles)
             self._held_out.append(PreparedEpisode(episode.tasks, ()))
         scheduler = PolicyScheduler(policy)
-        total = 0.0
+        objectives = []
         for episode in self._held_out[:episodes]:
             result = run_episode(episode, scheduler, self.sim, self.channel, exec_cost=0.0)
-            total += objective(result, self.sim.lambda_weight)
-        return -total / episodes
+            objectives.append(objective(result, self.sim.lambda_weight))
+        return -math.fsum(objectives) / episodes
 
 
 class ToyTwoActionEnv:

@@ -28,6 +28,11 @@ import numpy as np
 
 _ACTIVATIONS = ("relu", "tanh")
 
+# Adam's moment decays and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Mlp:
     """Fully connected network: linear layers with a nonlinearity between.
@@ -77,7 +82,8 @@ class Mlp:
         return [(w.copy(), b.copy()) for w, b in zip(self.weights, self.biases)]
 
     def clone(self) -> "Mlp":
-        return Mlp.from_weights(self.layers(), activation=self.activation)
+        # from_weights copies every array, so the clone shares none
+        return Mlp.from_weights(list(zip(self.weights, self.biases)), activation=self.activation)
 
     def params(self) -> list[np.ndarray]:
         """The live parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
@@ -151,19 +157,9 @@ class Adam:
     step allocates nothing the size of a parameter.
     """
 
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[np.ndarray], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -175,22 +171,22 @@ class Adam:
                 f"got {len(grads)} gradients for {len(self.params)} parameters"
             )
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), one operation at a
         # time in the order that expression evaluates, written into t and u
         for p, g, m, v, (t, u) in zip(self.params, grads, self.m, self.v, self._scratch):
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=t)
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=t)
             m += t
-            v *= self.beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=t)
-            np.multiply(1.0 - self.beta2, t, out=t)
+            np.multiply(1.0 - ADAM_BETA2, t, out=t)
             v += t
             np.divide(m, b1c, out=t)
             np.multiply(self.lr, t, out=t)
             np.divide(v, b2c, out=u)
             np.sqrt(u, out=u)
-            u += self.eps
+            u += ADAM_EPS
             t /= u
             p -= t

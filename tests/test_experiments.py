@@ -179,7 +179,7 @@ class TestEpisodeDump:
             for line in path.read_text().splitlines()
             if json.loads(line)["kind"] == "task"
         ]
-        lat = sum(t["e2e_latency"] for t in tasks if t["status"] == "completed")
+        lat = math.fsum(t["e2e_latency"] for t in tasks if t["status"] == "completed")
         drops = sum(1 for t in tasks if t["status"] == "dropped")
         recomputed = 0.4 * lat + 0.6 * drops / len(tasks)
         assert recomputed == row.objective
@@ -290,13 +290,13 @@ class TestMatrix:
             synthetic_costs={a: 1e-4 for a in algos},
         )
         assert {(r.algo, r.seed): r.objective for r in report.rows} == {
-            ("fcfs", 1): 24.452826478830207,
-            ("fcfs", 2): 22.255083239510636,
-            ("sdf", 1): 24.18596483094408,
-            ("sdf", 2): 22.255083239510636,
-            ("on-dyn-pso", 1): 23.719768126716335,
-            ("on-dyn-pso", 2): 22.169378166174017,
-            ("off-sta-pso", 1): 23.716008126716346,
+            ("fcfs", 1): 24.452826478830215,
+            ("fcfs", 2): 22.25508323951064,
+            ("sdf", 1): 24.185964830944087,
+            ("sdf", 2): 22.25508323951064,
+            ("on-dyn-pso", 1): 23.732826478830216,
+            ("on-dyn-pso", 2): 22.16937816617402,
+            ("off-sta-pso", 1): 23.729186478830226,
             ("off-sta-pso", 2): 22.16897816617402,
         }
 

@@ -145,11 +145,11 @@ class TestReplayOrdering:
         assert result.tasks[1].status is TaskStatus.DROPPED
 
 
-def first_server_replay_cost(order, avails, arrivals, procs, comms, slacks, lam, task_order):
+def first_server_replay_cost(order, avails, arrivals, procs, comms, slacks, lam):
     """``replay_cost`` as a per-server scan: each task goes to the first
     least-available server, in server order."""
     av = list(avails)
-    lats = [0.0] * len(arrivals)
+    lats = []
     drops = 0
     for pos in order:
         free = min(av)
@@ -158,11 +158,10 @@ def first_server_replay_cost(order, avails, arrivals, procs, comms, slacks, lam,
         waiting = start - arrivals[pos]
         if waiting <= slacks[pos]:
             av[j] = start + procs[pos]
-            lats[pos] = waiting + procs[pos] + 2.0 * comms[pos]
+            lats.append(waiting + procs[pos] + 2.0 * comms[pos])
         else:
             drops += 1
-    lat = sum(lats) if task_order else sum(map(lats.__getitem__, order))
-    return lam * lat + (1.0 - lam) * drops / len(order)
+    return lam * math.fsum(lats) + (1.0 - lam) * drops / len(order)
 
 
 class TestReplayCost:
@@ -175,7 +174,10 @@ class TestReplayCost:
     )
     def test_matches_the_task_replay(self, seed, n, num_mecs, tight, lam):
         rng = np.random.default_rng(seed)
-        base = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
+        prepared = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
+        # columns out of id order: the score may not depend on the order
+        # in which the objective or the replay meets the tasks
+        base = [prepared[i] for i in rng.permutation(n)]
         order = tuple(rng.permutation(n).tolist())
         args = (
             order,
@@ -186,10 +188,7 @@ class TestReplayCost:
             [slack(t) for t in base],
             lam,
         )
-        reference = objective(replay_ordering(base, order, num_mecs), lam)
-        assert abs(replay_cost(*args) - reference) <= 1e-12
-        # summed in task order, as the objective sums, it is exact
-        assert replay_cost(*args, task_order=True) == reference
+        assert replay_cost(*args) == objective(replay_ordering(base, order, num_mecs), lam)
 
     @given(
         data=st.data(),
@@ -197,11 +196,10 @@ class TestReplayCost:
         n=st.integers(1, 20),
         num_mecs=st.integers(1, 4),
         tight=st.booleans(),
-        task_order=st.booleans(),
     )
     @settings(max_examples=200)
     def test_heap_equals_the_first_least_available_server(
-        self, data, seed, n, num_mecs, tight, task_order
+        self, data, seed, n, num_mecs, tight
     ):
         rng = np.random.default_rng(seed)
         base = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
@@ -217,8 +215,8 @@ class TestReplayCost:
             [slack(t) for t in base],
             0.4,
         )
-        expected = first_server_replay_cost(order, avails, *args, task_order=task_order)
-        assert replay_cost(order, avails, *args, task_order=task_order) == expected
+        expected = first_server_replay_cost(order, avails, *args)
+        assert replay_cost(order, avails, *args) == expected
 
     def test_replay_starts_from_the_given_availabilities(self):
         # one server busy until 1.0: the task waits 1.0 and still fits
