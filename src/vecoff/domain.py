@@ -2,10 +2,9 @@
 
 Conventions used across the package: all times are absolute simulation
 seconds stored as floats, task sizes are bits, bandwidth is Hz. A task's
-deadline is the instant its vehicle leaves radio coverage; ``deadline ==
-arrival + remaining_in_range`` is kept redundantly and asserted on
-construction so both forms can be used without re-deriving one from the
-other.
+deadline is the instant its vehicle leaves radio coverage, derived as
+``arrival + remaining_in_range``; its latencies are derived from its start
+time, so the task is the only record of the schedule.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ _TRANSITIONS = {
     TaskStatus.DROPPED: frozenset(),
 }
 
-# Slop allowed when checking redundant float fields for consistency.
-_CONSISTENCY_TOL = 1e-9
+# Slop allowed before a server's new busy interval overlaps its last one.
+_OVERLAP_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -61,9 +60,10 @@ class LifecycleError(RuntimeError):
 class Task:
     """One offloaded computation job.
 
-    The fields up to ``remaining_in_range`` are fixed at spawn time. The
-    rest start as None and are filled in by the simulation engine when the
-    task is assigned; they stay None for dropped tasks.
+    The fields up to ``remaining_in_range`` are fixed at spawn time.
+    ``comm_time`` is attached before simulation, and the engine sets
+    ``start_proc`` and ``assigned_mec`` on assignment (None if dropped).
+    The deadline and the latencies are derived, never stored.
     """
 
     id: int
@@ -71,13 +71,9 @@ class Task:
     arrival: float
     size: int
     proc_time: float
-    deadline: float
     remaining_in_range: float
     start_proc: float | None = None
-    waiting: float | None = None
     comm_time: float | None = None
-    comp_latency: float | None = None
-    e2e_latency: float | None = None
     assigned_mec: int | None = None
     status: TaskStatus = TaskStatus.PENDING
 
@@ -95,12 +91,25 @@ class Task:
                 f"task {self.id}: remaining_in_range must be >= 0, "
                 f"got {self.remaining_in_range}"
             )
-        expected = self.arrival + self.remaining_in_range
-        if abs(self.deadline - expected) > _CONSISTENCY_TOL * max(1.0, abs(expected)):
-            raise ValueError(
-                f"task {self.id}: deadline {self.deadline} inconsistent with "
-                f"arrival + remaining_in_range = {expected}"
-            )
+
+    @property
+    def deadline(self) -> float:
+        """The instant the vehicle leaves radio coverage."""
+        return self.arrival + self.remaining_in_range
+
+    # The latencies, None until the task starts: waiting, then plus
+    # processing, then plus the upload and the result's return.
+    @property
+    def waiting(self) -> float | None:
+        return None if self.start_proc is None else self.start_proc - self.arrival
+
+    @property
+    def comp_latency(self) -> float | None:
+        return None if self.start_proc is None else self.proc_time + self.waiting
+
+    @property
+    def e2e_latency(self) -> float | None:
+        return None if self.start_proc is None else self.comp_latency + 2.0 * self.comm_time
 
     def transition(self, new_status: TaskStatus) -> None:
         """Move to ``new_status``, enforcing the pending->completed /
@@ -118,13 +127,14 @@ class Task:
         # __dict__ instead would materialise a dict in both objects
         return Task(
             self.id, self.vehicle_id, self.arrival, self.size, self.proc_time,
-            self.deadline, self.remaining_in_range, self.start_proc, self.waiting,
-            self.comm_time, self.comp_latency, self.e2e_latency, self.assigned_mec,
-            self.status,
+            self.remaining_in_range, self.start_proc, self.comm_time,
+            self.assigned_mec, self.status,
         )
 
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)
+        for name in ("deadline", "waiting", "comp_latency", "e2e_latency"):
+            d[name] = getattr(self, name)
         d["status"] = self.status.value
         return d
 
@@ -134,24 +144,23 @@ class MecState:
     """Availability bookkeeping for one edge server.
 
     ``id`` is the server index, numbered 1..M. ``available_at`` is the end
-    of the last busy interval (0.0 for a server that has never worked).
+    of the last busy interval (0.0 for a server that has never worked);
+    the intervals themselves are its tasks' own start and processing times.
     """
 
     id: int
     available_at: float = 0.0
-    busy_intervals: list[tuple[float, float]] = field(default_factory=list)
 
     def add_busy(self, start: float, end: float) -> None:
-        """Record one processing interval. Intervals must not overlap and
-        must be appended in chronological order."""
+        """Book one processing interval, which must be non-empty and must
+        not start before the server's last interval ended."""
         if end <= start:
             raise ValueError(f"server {self.id}: empty busy interval [{start}, {end}]")
-        if start < self.available_at - _CONSISTENCY_TOL:
+        if start < self.available_at - _OVERLAP_TOL:
             raise ValueError(
                 f"server {self.id}: interval starting {start} overlaps work "
                 f"ending {self.available_at}"
             )
-        self.busy_intervals.append((start, end))
         self.available_at = end
 
 

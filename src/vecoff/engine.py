@@ -84,7 +84,6 @@ class EpisodeResult:
     tasks: list[Task]
     windows: list[WindowRecord]
     bandwidth_events: list[BandwidthEvent] = field(default_factory=list)
-    mecs: list[MecState] = field(default_factory=list)
 
     @property
     def num_tasks(self) -> int:
@@ -222,11 +221,10 @@ def assign(task: Task, mec: MecState, at: float | None = None) -> float | None:
 
     Processing starts at ``max(mec.available_at, task.arrival)``, lifted
     to ``at`` when given (the instant a charged decision completed). If
-    the task can still deliver from there, it completes: all of its
-    timing fields are filled in, the server is booked, and the instant
-    the server frees again is returned. Otherwise the task is dropped, no
-    timing field is set, the server is left untouched, and ``None`` is
-    returned.
+    the task can still deliver from there, it completes: its start and
+    server are recorded, the server is booked, and the instant the server
+    frees again is returned. Otherwise the task is dropped, no timing
+    field is set, the server is left untouched, and ``None`` is returned.
     """
     start = max(mec.available_at, task.arrival)
     if at is not None:
@@ -236,9 +234,6 @@ def assign(task: Task, mec: MecState, at: float | None = None) -> float | None:
         return None
     task.transition(TaskStatus.COMPLETED)
     task.start_proc = start
-    task.waiting = start - task.arrival
-    task.comp_latency = task.proc_time + task.waiting
-    task.e2e_latency = task.comp_latency + 2.0 * task.comm_time
     task.assigned_mec = mec.id
     mec.add_busy(start, start + task.proc_time)
     return start + task.proc_time
@@ -338,11 +333,7 @@ def episode_loop(
         if t.status not in (TaskStatus.COMPLETED, TaskStatus.DROPPED):
             raise RuntimeError(f"task {t.id} ended in state {t.status.value}")
 
-    return EpisodeResult(
-        tasks=list(tasks),
-        windows=windows,
-        mecs=mecs,
-    )
+    return EpisodeResult(tasks=list(tasks), windows=windows)
 
 
 @dataclass(frozen=True)

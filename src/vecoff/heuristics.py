@@ -140,7 +140,7 @@ def replay_ordering(
     for pos in ordering:
         sid, _ = earliest_availability(mecs)
         assign(work[pos], mecs[sid - 1])
-    return EpisodeResult(tasks=work, windows=[], mecs=mecs)
+    return EpisodeResult(tasks=work, windows=[])
 
 
 def _check_permutation(ordering: Sequence[int], n: int) -> None:

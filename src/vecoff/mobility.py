@@ -324,7 +324,6 @@ def spawn_tasks(
                     "arrival": arrival,
                     "size": workload.task_size(res),
                     "proc_time": workload.proc_time_table[res],
-                    "deadline": arrival + remaining,
                     "remaining_in_range": remaining,
                 }
             )

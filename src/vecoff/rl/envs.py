@@ -194,7 +194,6 @@ class ToyTwoActionEnv:
             arrival=0.0,
             size=1e6,
             proc_time=proc,
-            deadline=gap,
             remaining_in_range=gap,
         )
 

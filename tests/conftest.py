@@ -1,5 +1,10 @@
 import os
 
+# One OpenBLAS thread, as the benchmark runs: on a small box the wall-clock
+# gates (07, 08) slow down many times over when BLAS threads oversubscribe.
+# Set before numpy is first imported, which is when OpenBLAS reads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -33,7 +38,6 @@ def make_task(
         arrival=arrival,
         size=size,
         proc_time=proc,
-        deadline=arrival + remaining,
         remaining_in_range=remaining,
     )
     if comm is not None:

@@ -113,7 +113,7 @@ def test_01_small_instance_oracle_bound():
                 id=tid, vehicle_id=tid, arrival=arrival,
                 size=float(rng.uniform(0.5e6, 8e6)),
                 proc_time=float(rng.uniform(0.05, 0.5)),
-                deadline=arrival + remaining, remaining_in_range=remaining,
+                remaining_in_range=remaining,
             ))
         sim = SimConfig(num_mecs=m, num_vehicles=n, rng_seed=1,
                         charge_exec_time=False)
@@ -179,8 +179,7 @@ def test_03_latency_closed_form():
         comm = size / link
         remaining = proc + 2.0 * comm + 0.5
         task = Task(id=0, vehicle_id=0, arrival=arrival, size=size,
-                    proc_time=proc, deadline=arrival + remaining,
-                    remaining_in_range=remaining)
+                    proc_time=proc, remaining_in_range=remaining)
         sim = SimConfig(num_mecs=2, num_vehicles=1, rng_seed=1,
                         charge_exec_time=False)
         res = run_episode([task], sched, sim, chan, exec_cost=0.0)
@@ -234,7 +233,7 @@ def _fabricated_window(rng, w: int, scale: float = 1.0) -> DecisionWindow:
         tasks.append(Task(
             id=i, vehicle_id=i, arrival=0.0, size=1e6,
             proc_time=float(rng.uniform(0.05, 3.0)),
-            deadline=deadline, remaining_in_range=deadline,
+            remaining_in_range=deadline,
         ))
     return DecisionWindow(index=1, queued=list(tasks), feasible=list(tasks),
                           earliest_avail=t_av)
@@ -259,8 +258,7 @@ def test_05_reward_algebra():
         stretched = dataclasses.replace(
             window,
             queued=[dataclasses.replace(
-                t, deadline=window.earliest_avail + 3.0 * g,
-                remaining_in_range=window.earliest_avail + 3.0 * g,
+                t, remaining_in_range=window.earliest_avail + 3.0 * g,
             ) for t, g in zip(window.queued, gaps)],
         )
         stretched.feasible = list(stretched.queued)
@@ -367,7 +365,7 @@ def test_11_engine_invariant_fuzz():
                 id=tid, vehicle_id=tid, arrival=arrival,
                 size=float(rng.uniform(1e5, 5e6)),
                 proc_time=float(rng.uniform(0.05, 1.5)),
-                deadline=arrival + remaining, remaining_in_range=remaining,
+                remaining_in_range=remaining,
             ))
         sim = SimConfig(num_mecs=m, num_vehicles=n, rng_seed=1,
                         charge_exec_time=bool(i % 2))
@@ -384,8 +382,11 @@ def test_11_engine_invariant_fuzz():
             assert delivered <= t.deadline + 1e-9
         for t in res.dropped:
             assert t.assigned_mec is None
-        for mec in res.mecs:
-            spans = mec.busy_intervals
+        for sid in range(1, m + 1):
+            spans = sorted(
+                (t.start_proc, t.start_proc + t.proc_time)
+                for t in res.completed if t.assigned_mec == sid
+            )
             for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
                 assert s0 <= e0 <= s1 <= e1
     gate(True, "11 engine invariant fuzz",

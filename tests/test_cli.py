@@ -125,6 +125,14 @@ class TestRun:
         kinds = {r["kind"] for r in records}
         assert "task" in kinds
         assert sum(1 for r in records if r["kind"] == "task") == 30
+        timing = ("start_proc", "waiting", "comp_latency", "e2e_latency", "assigned_mec")
+        keys = {"kind", "id", "vehicle_id", "arrival", "size", "proc_time", "deadline",
+                "remaining_in_range", "comm_time", "status", *timing}
+        for r in records:
+            if r["kind"] == "task":
+                assert set(r) == keys
+                if r["status"] == "dropped":
+                    assert [r[k] for k in timing] == [None] * len(timing)
 
     def test_rl_algo_without_policy_fails_with_hint(self, tmp_path, capsys):
         code = main([

@@ -76,13 +76,6 @@ class TestTask:
         with pytest.raises(ValueError, match="proc_time"):
             make_task(0, arrival=0.0, proc=0.0, remaining=1.0)
 
-    def test_rejects_inconsistent_deadline(self):
-        with pytest.raises(ValueError, match="deadline"):
-            Task(
-                id=0, vehicle_id=0, arrival=1.0, size=1e6, proc_time=0.1,
-                deadline=5.0, remaining_in_range=1.0,
-            )
-
     def test_lifecycle_happy_path(self):
         t = make_task(0, arrival=0.0, proc=0.1, remaining=1.0)
         t.transition(TaskStatus.COMPLETED)
@@ -107,10 +100,10 @@ class TestTask:
         assign(done, MecState(id=2, available_at=0.8))
         names = [f.name for f in dataclasses.fields(Task)]
         copied = done.copy()
-        assert len(names) == 14
+        assert len(names) == 10
         assert [getattr(copied, n) for n in names] == [getattr(done, n) for n in names]
-        copied.assigned_mec, copied.waiting = 1, 0.0
-        assert (done.assigned_mec, done.waiting) == (2, 0.8 - 0.5)
+        copied.assigned_mec, copied.start_proc = 1, 0.5
+        assert (done.assigned_mec, done.start_proc) == (2, 0.8)
 
 
 class TestMecState:

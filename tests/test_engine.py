@@ -105,7 +105,6 @@ class TestAssign:
         assert t.status is TaskStatus.COMPLETED
         assert free_at == 5.0
         assert mec.available_at == 5.0
-        assert mec.busy_intervals == [(3.0, 5.0)]
 
     def test_busy_server_start_at_availability(self):
         t = make_task(0, arrival=3.0, proc=2.0, remaining=9.25, comm=0.25)
@@ -136,7 +135,6 @@ class TestAssign:
         assert t.start_proc is None
         assert t.e2e_latency is None
         assert mec.available_at == 10.0
-        assert mec.busy_intervals == [(0.0, 10.0)]
 
     def test_at_lifts_start_beyond_availability(self):
         t = make_task(0, arrival=0.0, proc=1.0, remaining=10.0, comm=0.1)
@@ -188,7 +186,7 @@ class TestRunEpisode:
         result = run(tasks, FcfsScheduler(), sim2)
         by_id = {t.id: t for t in result.tasks}
         assert [by_id[i].assigned_mec for i in range(3)] == [1, 2, 2]
-        assert [m.available_at for m in result.mecs] == [3.0, 5.0]
+        assert [by_id[i].start_proc + by_id[i].proc_time for i in range(3)] == [3.0, 1.1, 5.0]
         assert result.windows == []
 
     def test_exact_deadline_completion_on_fast_path(self, sim2):
@@ -257,7 +255,6 @@ class TestRunEpisode:
             for charged in (True, False)
         )
         assert [t.to_dict() for t in a.tasks] == [t.to_dict() for t in b.tasks]
-        assert [m.busy_intervals for m in a.mecs] == [m.busy_intervals for m in b.mecs]
 
     def test_charged_decision_can_expire_its_own_pick(self):
         # B can absorb 9.5 s of waiting; the server frees at 10.0 after A,
@@ -380,8 +377,12 @@ class TestEpisodeInvariants:
             assert delivered <= t.deadline + 1e-9
         for t in result.dropped:
             assert t.e2e_latency is None
-        for mec in result.mecs:
-            for (s0, e0), (s1, e1) in zip(mec.busy_intervals, mec.busy_intervals[1:]):
+        for sid in (1, 2):
+            spans = sorted(
+                (t.start_proc, t.start_proc + t.proc_time)
+                for t in result.completed if t.assigned_mec == sid
+            )
+            for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
                 assert e0 <= s1 + 1e-9
-            for s, e in mec.busy_intervals:
+            for s, e in spans:
                 assert e > s
