@@ -134,22 +134,29 @@ def objective(result: EpisodeResult, lambda_weight: float) -> float:
     raw form is the one optimizers minimize. The sum is ``math.fsum``,
     correctly rounded, so it does not depend on the order of the tasks.
     """
-    n = result.num_tasks
-    if n == 0:
-        return 0.0
     lat = math.fsum(t.e2e_latency for t in result.completed)
-    return lambda_weight * lat + (1.0 - lambda_weight) * result.num_dropped / n
+    return _objective(result, lambda_weight, lat, result.num_dropped)
 
 
 def objective_normalized(result: EpisodeResult, lambda_weight: float) -> float:
     """Objective with the latency sum scaled by N times the largest deadline."""
+    lat = math.fsum(t.e2e_latency for t in result.completed)
+    return _objective(result, lambda_weight, lat, result.num_dropped, normalized=True)
+
+
+def _objective(
+    result: EpisodeResult, lambda_weight: float, latency_sum: float, drops: int, normalized=False
+) -> float:
+    """Both objectives' one formula, from ``result``'s e2e sum and drop
+    count: a caller that needs both reads each latency once."""
     n = result.num_tasks
     if n == 0:
         return 0.0
-    lat = math.fsum(t.e2e_latency for t in result.completed)
-    max_deadline = max(t.deadline for t in result.tasks)
-    scale = n * max_deadline if max_deadline > 0 else n
-    return lambda_weight * lat / scale + (1.0 - lambda_weight) * result.num_dropped / n
+    scale = 1.0  # dividing by 1.0 is exact
+    if normalized:
+        max_deadline = max(t.deadline for t in result.tasks)
+        scale = n * max_deadline if max_deadline > 0 else n
+    return lambda_weight * latency_sum / scale + (1.0 - lambda_weight) * drops / n
 
 
 class Scheduler(Protocol):

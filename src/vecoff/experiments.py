@@ -24,8 +24,7 @@ from . import heuristics
 from .engine import (
     EpisodeResult,
     PreparedEpisode,
-    objective,
-    objective_normalized,
+    _objective,
     prepare_episode,
     run_episode,
 )
@@ -76,9 +75,9 @@ class RunRow:
         (the offline optimizer)."""
         completed = result.completed
         n = result.num_tasks
-        drop_ratio = result.num_dropped / n if n else 0.0
+        drops = result.num_dropped
         served = len(completed) or 1  # both sums are 0.0 when none was served
-        mean_e2e = math.fsum(t.e2e_latency for t in completed) / served
+        e2e_sum = math.fsum(t.e2e_latency for t in completed)
         mean_wait = math.fsum(t.waiting for t in completed) / served
         windows = result.num_windows
         exec_s = result.total_decision_time if total_exec_s is None else total_exec_s
@@ -91,11 +90,11 @@ class RunRow:
             vehicles=vehicles,
             run=run,
             seed=seed,
-            drop_ratio=drop_ratio,
-            mean_e2e_s=mean_e2e,
+            drop_ratio=drops / n if n else 0.0,
+            mean_e2e_s=e2e_sum / served,
             mean_wait_s=mean_wait,
-            objective=objective(result, lambda_weight),
-            objective_normalized=objective_normalized(result, lambda_weight),
+            objective=_objective(result, lambda_weight, e2e_sum, drops),
+            objective_normalized=_objective(result, lambda_weight, e2e_sum, drops, normalized=True),
             total_exec_s=exec_s,
             windows=windows,
             per_window_exec_s=per_window,

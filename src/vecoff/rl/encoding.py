@@ -51,30 +51,32 @@ def encode_state(
     window: DecisionWindow,
     now: float,
     enc: EncoderSpec,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode one decision point. Pure: touches neither window nor servers.
 
     Returns the state vector, laid out as the M server availabilities,
     then the ``window_cap`` slot triples row by row, then the
     ``window_cap`` validity flags, and the boolean action mask (True
-    where a slot holds a selectable task).
+    where a slot holds a selectable task). Given ``out``, a float64
+    array of ``state_dim`` entries, the state overwrites every entry of
+    it and ``out`` is returned: a caller can encode into one buffer
+    without a stale slot surviving.
     """
     if len(mecs) != enc.num_mecs:
         raise PolicyContractError(
             f"encoder expects {enc.num_mecs} servers, simulation has {len(mecs)}"
         )
-    feas = window.feasible
+    feas = window.feasible[: enc.window_cap]
     if not feas:
         raise ValueError("cannot encode an empty window")
-    m = enc.num_mecs
-    flags = m + 3 * enc.window_cap
-    state = np.zeros(enc.state_dim, dtype=np.float64)
-    for j, mec in enumerate(mecs):
-        state[j] = (mec.available_at - now) / enc.time_scale
-    for i, t in enumerate(feas[: enc.window_cap]):
-        slot = m + 3 * i
-        state[slot] = (t.arrival - now) / enc.time_scale
-        state[slot + 1] = (t.deadline - now) / enc.time_scale
-        state[slot + 2] = t.proc_time / enc.proc_scale
-        state[flags + i] = 1.0
+    ts = enc.time_scale
+    values = [(mec.available_at - now) / ts for mec in mecs]
+    for t in feas:
+        values += ((t.arrival - now) / ts, (t.deadline - now) / ts, t.proc_time / enc.proc_scale)
+    flags = enc.num_mecs + 3 * enc.window_cap
+    state = np.empty(enc.state_dim, dtype=np.float64) if out is None else out
+    state[: len(values)] = values
+    state[len(values) :] = 0.0
+    state[flags : flags + len(feas)] = 1.0
     return state, state[flags:] > 0.0

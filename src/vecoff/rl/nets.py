@@ -42,6 +42,7 @@ class Mlp:
     """
 
     _grad_w: list[np.ndarray] | None = None  # made by the first ``backward``
+    _one: list[np.ndarray] | None = None  # made by the first ``forward_one``
 
     def __init__(
         self,
@@ -92,10 +93,10 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
+    def _act(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
+            return np.maximum(z, 0.0, out=out)
+        return np.tanh(z, out=out)
 
     def _act_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         if self.activation == "relu":
@@ -121,6 +122,21 @@ class Mlp:
         if want_cache:
             return out, (pre, post, squeeze)
         return out
+
+    def forward_one(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` of one state ``x`` (in,), bit for bit (a property test
+        pins it), in buffers this network makes at its first call: ``np.dot``
+        into each, then bias and activation in place. The next call
+        overwrites the output."""
+        if self._one is None:
+            self._one = [np.empty_like(b) for b in self.biases]
+        for i, (w, b, z) in enumerate(zip(self.weights, self.biases, self._one)):
+            np.dot(x, w, out=z)
+            z += b
+            if i < len(self._one) - 1:
+                self._act(z, out=z)
+            x = z
+        return x
 
     def backward(self, cache, grad_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of a scalar loss wrt every parameter.

@@ -6,8 +6,9 @@ and each network's layer shapes with row-major weight arrays. JSON keeps
 the format inspectable; writing with sorted keys and fixed separators
 makes save -> load -> save byte-identical, which the test suite holds it
 to. A policy can only drive a simulation whose shape matches its encoder
-contract; mismatches raise instead of silently mis-encoding. Loading
-rejects non-finite weights and biases, naming each network and layer.
+contract, and networks must fit it; mismatches raise instead of silently
+mis-encoding. Loading rejects non-finite weights and biases, naming each
+network and layer.
 """
 
 from __future__ import annotations
@@ -50,6 +51,18 @@ class Policy:
         missing = [n for n in required if n not in self.networks]
         if missing:
             raise PolicyFormatError(f"{self.algorithm} policy missing networks {missing}")
+        faults = []
+        for name in required:
+            sizes = self.networks[name].sizes
+            out = 1 if name == "critic" else self.encoder.action_dim
+            for side, got, want in (
+                ("input", sizes[0], self.encoder.state_dim),
+                ("output", sizes[-1], out),
+            ):
+                if got != want:
+                    faults.append(f"network {name}: {side} width {got}, expected {want}")
+        if faults:
+            raise PolicyFormatError("; ".join(faults))
 
 
 def policy_to_dict(policy: Policy) -> dict[str, Any]:
@@ -170,17 +183,28 @@ class PolicyScheduler:
     probable action, as a stochastic policy is deployed. The critic only
     trains the actor and is never evaluated here. Trainers score their
     snapshots through this same pick.
+
+    ``select`` runs in buffers made once. Slots fill in arrival order, so
+    the mask is the first ``min(len(feasible), window_cap)`` slots and the
+    pick is the argmax over those, after ``masked_softmax``'s operations
+    for an actor-critic (their rounding can tie probabilities).
     """
 
     def __init__(self, policy: Policy):
         self.policy = policy
         self.name = policy.algorithm
-        self._acting = _REQUIRED_NETS[policy.algorithm][0]
+        self._net = policy.networks[_REQUIRED_NETS[policy.algorithm][0]]
         self._distribution = policy.algorithm == "ppo"
+        self._state = np.empty(policy.encoder.state_dim)
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
-        x, mask = encode_state(mecs, window, now, self.policy.encoder)
-        scores = self.policy.networks[self._acting].forward(x)
-        if self._distribution:
-            scores = masked_softmax(scores, mask)
-        return masked_argmax(scores, mask)
+        enc = self.policy.encoder
+        encode_state(mecs, window, now, enc, out=self._state)
+        scores = self._net.forward_one(self._state)
+        k = min(len(window.feasible), enc.window_cap)
+        if self._distribution:  # masked_softmax, in place
+            scores[k:] = -np.inf
+            scores -= scores.max()
+            np.exp(scores, out=scores)
+            scores /= scores.sum()
+        return int(scores[:k].argmax())

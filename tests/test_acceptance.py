@@ -19,11 +19,10 @@ import pytest
 from conftest import fd_gradient_gap
 from vecoff.config import default_config
 from vecoff.domain import ChannelParams, SimConfig, Task, TaskStatus
-from vecoff.engine import DecisionWindow, run_episode
+from vecoff.engine import DecisionWindow, objective, run_episode
 from vecoff.experiments import (
     ALGO_TAGS,
     build_episode_tasks,
-    objective,
     run_matrix,
 )
 from vecoff.heuristics import (

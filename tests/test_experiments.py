@@ -7,7 +7,7 @@ import pytest
 from vecoff import engine, heuristics
 from vecoff.config import default_config
 from vecoff.domain import ChannelParams, SimConfig
-from vecoff.engine import prepare_episode
+from vecoff.engine import objective, objective_normalized, prepare_episode
 from vecoff.experiments import (
     ALGO_TAGS,
     CSV_COLUMNS,
@@ -16,8 +16,6 @@ from vecoff.experiments import (
     build_episode_tasks,
     export_report,
     make_scheduler,
-    objective,
-    objective_normalized,
     run_cell,
     run_matrix,
 )
@@ -75,6 +73,15 @@ class TestRunRow:
         result = one_task_result()
         row = RunRow.from_result("fcfs", 50, "1", 7, result, 0.4)
         assert RunRow.from_dict(row.to_dict()) == row
+
+    def test_objectives_are_the_engines(self):
+        # a column with drops, so both objective terms count
+        cfg = small_config()
+        row, result = run_cell(cfg, "fcfs", 200, "1", seed=3, synthetic_costs={"fcfs": 0.0})
+        assert result.num_dropped > 0
+        assert row.objective == objective(result, 0.4)
+        assert row.objective_normalized == objective_normalized(result, 0.4)
+        assert row.drop_ratio == result.num_dropped / result.num_tasks
 
     def test_log10_of_per_window_cost(self):
         cfg = small_config()

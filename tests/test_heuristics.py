@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from vecoff import heuristics
 from vecoff.config import config_from_dict, section_to_dict
 from vecoff.domain import ChannelParams, MecState, SimConfig, TaskStatus
-from vecoff.engine import DecisionWindow, run_episode, slack
-from vecoff.experiments import objective
+from vecoff.engine import DecisionWindow, objective, run_episode, slack
 from vecoff.heuristics import (
     AssignmentPlan,
     DynamicPsoScheduler,

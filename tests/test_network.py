@@ -115,6 +115,35 @@ class TestBackprop:
         assert not any(a is b for a, b in zip(own[0::2], first[0::2]))
 
 
+class TestForwardOne:
+    @given(
+        sizes=st.lists(
+            st.sampled_from([1, 3, 16, 66, 128]) | st.integers(1, 140), min_size=2, max_size=4
+        ),
+        activation=st.sampled_from(["relu", "tanh"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e8]),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_forward_bit_for_bit(self, sizes, activation, scale, zeros, seed):
+        # twice on one net, so the second call writes into the first's buffers
+        rng = np.random.default_rng(seed)
+        net = Mlp(sizes, rng=rng, activation=activation)
+        for _ in range(2):
+            x = rng.standard_normal(sizes[0]) * scale
+            x[rng.random(sizes[0]) < zeros] = 0.0
+            assert np.array_equal(net.forward_one(x), net.forward(x))
+
+    def test_output_is_a_buffer_the_next_call_overwrites(self):
+        rng = np.random.default_rng(3)
+        net = Mlp([4, 8, 3], rng=rng)
+        first = net.forward_one(rng.standard_normal(4))
+        x = rng.standard_normal(4)
+        assert net.forward_one(x) is first
+        assert np.array_equal(first, net.forward(x))
+        assert net.clone().forward_one(x) is not first
+
+
 def _adam_by_expression(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The Adam update as whole-array expressions with fresh temporaries."""
     ms = [np.zeros_like(p) for p in params]

@@ -1,17 +1,22 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vecoff.domain import ChannelParams, MecState, SimConfig
-from vecoff.engine import run_episode
-from vecoff.rl.encoding import EncoderSpec, PolicyContractError
+from vecoff.engine import DecisionWindow, run_episode
+from vecoff.rl.encoding import EncoderSpec, PolicyContractError, encode_state
 from vecoff.rl.nets import Mlp
 from vecoff.rl.policy import (
     Policy,
     PolicyFormatError,
     PolicyScheduler,
     load_policy,
+    masked_argmax,
+    masked_softmax,
     policy_from_dict,
     policy_to_dict,
     save_policy,
@@ -45,6 +50,31 @@ class TestPolicyContainer:
         critic = Mlp([enc.state_dim, 4, 1], rng=np.random.default_rng(0))
         with pytest.raises(PolicyFormatError, match="actor"):
             Policy(algorithm="ppo", encoder=enc, networks={"critic": critic})
+
+    @pytest.mark.parametrize(
+        "sizes, fault",
+        [
+            ([70, 32, 16], "input width 70, expected 66"),
+            ([66, 32, 8], "output width 8, expected 16"),
+        ],
+    )
+    def test_network_widths_must_fit_the_encoder(self, sizes, fault):
+        net = Mlp(sizes, rng=np.random.default_rng(0))
+        with pytest.raises(PolicyFormatError) as err:
+            Policy(algorithm="dqn", encoder=EncoderSpec(), networks={"q": net})
+        assert str(err.value) == f"network q: {fault}"
+
+    def test_every_width_fault_is_named_at_once(self):
+        rng = np.random.default_rng(0)
+        actor = Mlp([70, 4, 8], rng=rng)
+        critic = Mlp([66, 4, 2], rng=rng)
+        with pytest.raises(PolicyFormatError) as err:
+            Policy("ppo", EncoderSpec(), {"actor": actor, "critic": critic})
+        assert str(err.value) == (
+            "network actor: input width 70, expected 66; "
+            "network actor: output width 8, expected 16; "
+            "network critic: output width 2, expected 1"
+        )
 
     def test_dict_round_trip_preserves_everything(self):
         pol = ppo_policy(seed=3)
@@ -158,7 +188,7 @@ class TestPolicyScheduler:
 
     @pytest.mark.parametrize("build", [dqn_policy, ppo_policy])
     def test_loaded_policy_replays_identical_episodes(self, build, tmp_path, rng):
-        from vecoff.experiments import objective
+        from vecoff.engine import objective
 
         cfg = SimConfig(num_mecs=2, charge_exec_time=False)
         tasks = make_task_set(rng, 15)
@@ -173,3 +203,114 @@ class TestPolicyScheduler:
         )
         assert [t.to_dict() for t in fresh.tasks] == [t.to_dict() for t in loaded.tasks]
         assert objective(fresh, 0.4) == objective(loaded, 0.4)
+
+
+def deployed_policy(algorithm, seed=0):
+    """The trained shape: 66-128-128-16 acting net on the default encoder."""
+    enc = EncoderSpec()
+    rng = np.random.default_rng(seed)
+    sizes = [enc.state_dim, 128, 128, enc.action_dim]
+    if algorithm == "dqn":
+        return Policy("dqn", enc, {"q": Mlp(sizes, rng=rng)})
+    critic = Mlp(sizes[:-1] + [1], rng=rng)
+    return Policy("ppo", enc, {"actor": Mlp(sizes, rng=rng), "critic": critic})
+
+
+def reference_pick(policy, window, mecs, now):
+    """Encode, forward, softmax for an actor-critic, masked argmax."""
+    x, mask = encode_state(mecs, window, now, policy.encoder)
+    scores = policy.networks["q" if policy.algorithm == "dqn" else "actor"].forward(x)
+    if policy.algorithm == "ppo":
+        scores = masked_softmax(scores, mask)
+    return masked_argmax(scores, mask)
+
+
+def random_window(rng, n):
+    tasks = sorted(
+        (
+            make_task(i, arrival=float(rng.uniform(0.0, 2.0)), proc=float(rng.uniform(0.05, 0.5)),
+                      remaining=float(rng.uniform(0.5, 10.0)), comm=0.05)
+            for i in range(n)
+        ),
+        key=lambda t: t.arrival,
+    )
+    return DecisionWindow(index=1, queued=tasks, feasible=tasks, earliest_avail=0.0)
+
+
+def random_mecs(rng, m=2):
+    mecs = [MecState(id=j + 1) for j in range(m)]
+    for mec in mecs:
+        mec.available_at = float(rng.uniform(0.0, 3.0))
+    return mecs
+
+
+class TestBufferedSelect:
+    @given(
+        algorithm=st.sampled_from(["dqn", "ppo"]),
+        cap=st.integers(1, 16),
+        sizes=st.lists(st.integers(1, 24), min_size=1, max_size=6),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_reference_composition(self, algorithm, cap, sizes, tied, seed):
+        # one scheduler over several windows, some above the cap, so each
+        # pick also runs on buffers the previous one wrote
+        rng = np.random.default_rng(seed)
+        enc = EncoderSpec(num_mecs=2, window_cap=cap)
+        nets = {
+            name: Mlp([enc.state_dim, 8, out], rng=rng)
+            for name, out in (("q", cap), ("actor", cap), ("critic", 1))
+        }
+        if tied:  # outputs drawn from {0, 1}: most windows hold ties
+            act = nets["q" if algorithm == "dqn" else "actor"]
+            act.weights[-1][:] = 0.0
+            act.biases[-1][:] = rng.integers(0, 2, cap)
+        keep = ("q",) if algorithm == "dqn" else ("actor", "critic")
+        policy = Policy(algorithm, enc, {k: nets[k] for k in keep})
+        sched = PolicyScheduler(policy)
+        for n in sizes:
+            window, mecs, now = random_window(rng, n), random_mecs(rng), float(rng.uniform(0, 2))
+            assert sched.select(window, mecs, now) == reference_pick(policy, window, mecs, now)
+
+    @pytest.mark.parametrize("algorithm", ["dqn", "ppo"])
+    def test_a_short_window_after_a_long_one_keeps_no_stale_slot(self, algorithm):
+        rng = np.random.default_rng(5)
+        policy = deployed_policy(algorithm)
+        used = PolicyScheduler(policy)
+        long, short, mecs = random_window(rng, 20), random_window(rng, 2), random_mecs(rng)
+        used.select(long, mecs, 0.5)
+        fresh = PolicyScheduler(policy)
+        assert used.select(short, mecs, 0.5) == fresh.select(short, mecs, 0.5)
+        assert np.array_equal(used._state, encode_state(mecs, short, 0.5, policy.encoder)[0])
+
+    def test_encoding_into_a_buffer_equals_a_fresh_array(self):
+        rng = np.random.default_rng(6)
+        enc = EncoderSpec()
+        buf = np.full(enc.state_dim, np.nan)
+        for n in (20, 2, 16, 1):
+            window, mecs = random_window(rng, n), random_mecs(rng)
+            got, got_mask = encode_state(mecs, window, 0.7, enc, out=buf)
+            want, want_mask = encode_state(mecs, window, 0.7, enc)
+            assert got is buf
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_mask, want_mask)
+
+    @pytest.mark.parametrize("algorithm, bound", [("dqn", 1024), ("ppo", 2048)])
+    def test_select_allocates_no_layer(self, algorithm, bound):
+        # A 128-wide float64 layer is 1 KiB; a forward that keeps each
+        # layer's pre- and post-activation alive peaks near 4.5 KiB. The
+        # softmax's reductions each build and free a numpy iterator of
+        # about 0.9 KiB, hence PPO's wider bound.
+        rng = np.random.default_rng(8)
+        sched = PolicyScheduler(deployed_policy(algorithm))
+        window, mecs = random_window(rng, 5), random_mecs(rng)
+        sched.select(window, mecs, 0.5)  # makes the buffers
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for _ in range(200):
+                sched.select(window, mecs, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < bound
