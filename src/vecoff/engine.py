@@ -217,7 +217,9 @@ def build_window(
             feasible.append(t)
         else:
             t.transition(TaskStatus.DROPPED)
-            pending.remove(t)
+    if len(feasible) < len(queued):
+        # by status, not by value: list.remove would compare whole tasks
+        pending[:] = [t for t in pending if t.status is TaskStatus.PENDING]
     return DecisionWindow(
         index=index, queued=queued, feasible=feasible, earliest_avail=t_e_av
     )
@@ -328,7 +330,10 @@ def episode_loop(
             if cfg.charge_exec_time and duration > 0:
                 clock += duration
             task = window.feasible[choice]
-            pending.remove(task)
+            for i, t in enumerate(pending):  # by identity, not list.remove's value test
+                if t is task:
+                    del pending[i]
+                    break
             # a charged decision can take long enough to expire its pick
             place(task, sid)
 

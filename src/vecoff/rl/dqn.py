@@ -113,7 +113,7 @@ def train_dqn(env, params: DqnParams, seed: int = 0) -> TrainResult:
                 else:
                     action = int(rng.choice(np.flatnonzero(mask)))
             else:
-                action = masked_argmax(online.forward(state), mask)
+                action = masked_argmax(online.forward_one(state), mask)
             reward, nxt, done = env.step(action)
             ep_reward += reward
             next_state, next_mask = (None, None) if nxt is None else nxt

@@ -187,7 +187,9 @@ class PolicyScheduler:
     ``select`` runs in buffers made once. Slots fill in arrival order, so
     the mask is the first ``min(len(feasible), window_cap)`` slots and the
     pick is the argmax over those, after ``masked_softmax``'s operations
-    for an actor-critic (their rounding can tie probabilities).
+    for an actor-critic (their rounding can tie probabilities). A window
+    of one task has one slot, so it returns 0 without a forward, as the
+    swarm does; the server count is still checked first.
     """
 
     def __init__(self, policy: Policy):
@@ -199,6 +201,8 @@ class PolicyScheduler:
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
         enc = self.policy.encoder
+        if len(window.feasible) == 1 and len(mecs) == enc.num_mecs:
+            return 0
         encode_state(mecs, window, now, enc, out=self._state)
         scores = self._net.forward_one(self._state)
         k = min(len(window.feasible), enc.window_cap)

@@ -60,11 +60,11 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
         # are stale and never read
         t = 0
         while t < n:
-            probs = masked_softmax(actor.forward(state), mask)
+            probs = masked_softmax(actor.forward_one(state), mask)
             if not np.all(np.isfinite(probs[mask])):
                 raise TrainingDiverged("action probabilities are not finite")
             action = _sample_from(probs, rng)
-            value = float(critic.forward(state)[0])
+            value = float(critic.forward_one(state)[0])
             reward, nxt, done = env.step(action)
             states[t] = state
             masks[t] = mask
@@ -85,7 +85,7 @@ def train_ppo(env, params: PpoParams, seed: int = 0) -> TrainResult:
             else:
                 state, mask = nxt
 
-        bootstrap = 0.0 if dones[t - 1] else float(critic.forward(state)[0])
+        bootstrap = 0.0 if dones[t - 1] else float(critic.forward_one(state)[0])
         advantages = _gae(
             rewards[:t], values[:t], dones[:t], bootstrap, params.gamma, params.gae_lambda
         )

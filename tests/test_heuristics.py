@@ -28,6 +28,9 @@ from vecoff.heuristics import (
     _columns,
     _ordering_to_position,
 )
+from vecoff.rl.encoding import EncoderSpec
+from vecoff.rl.nets import Mlp
+from vecoff.rl.policy import Policy, PolicyScheduler
 
 from conftest import make_task, make_task_set
 
@@ -84,6 +87,25 @@ class TestQueueDisciplines:
         assert FcfsScheduler().name == "fcfs"
         assert SdfScheduler().name == "sdf"
         assert DynamicPsoScheduler(FAST_PSO, 0.4).name == "on-dyn-pso"
+
+
+def test_every_online_scheduler_takes_the_only_task():
+    enc = EncoderSpec()
+    rng = np.random.default_rng(0)
+    sizes = [enc.state_dim, 8, enc.action_dim]
+    schedulers = [
+        FcfsScheduler(),
+        SdfScheduler(),
+        DynamicPsoScheduler(FAST_PSO, 0.4, seed=5),
+        PolicyScheduler(Policy("dqn", enc, {"q": Mlp(sizes, rng=rng)})),
+        PolicyScheduler(Policy("ppo", enc, {
+            "actor": Mlp(sizes, rng=rng), "critic": Mlp(sizes[:-1] + [1], rng=rng),
+        })),
+    ]
+    w = window_of([make_task(4, arrival=0.3, proc=0.4, remaining=9.0, comm=0.1)])
+    mecs = [MecState(id=1), MecState(id=2)]
+    for sched in schedulers:
+        assert sched.select(w, mecs, now=0.5) == 0, sched.name
 
 
 class TestRandomKeyEncoding:

@@ -160,6 +160,21 @@ class TestPolicyScheduler:
         with pytest.raises(PolicyContractError, match="servers"):
             sched.select(self.window(), mecs, now=0.0)
 
+    @pytest.mark.parametrize("build", [dqn_policy, ppo_policy])
+    def test_server_count_mismatch_rejected_on_a_one_task_window(self, build):
+        sched = PolicyScheduler(build(num_mecs=3))
+        mecs = [MecState(id=1), MecState(id=2)]
+        with pytest.raises(PolicyContractError, match="expects 3 servers, simulation has 2"):
+            sched.select(self.window(1), mecs, now=0.0)
+
+    @pytest.mark.parametrize("build", [dqn_policy, ppo_policy])
+    def test_one_task_window_runs_no_forward(self, build):
+        pol = build()
+        for net in pol.networks.values():
+            net.forward = net.forward_one = lambda *a, **k: pytest.fail("select ran a forward")
+        mecs = [MecState(id=1), MecState(id=2)]
+        assert PolicyScheduler(pol).select(self.window(1), mecs, now=0.0) == 0
+
     def test_dqn_choice_is_the_masked_argmax(self):
         pol = dqn_policy()
         sched = PolicyScheduler(pol)
@@ -269,6 +284,15 @@ class TestBufferedSelect:
         policy = Policy(algorithm, enc, {k: nets[k] for k in keep})
         sched = PolicyScheduler(policy)
         for n in sizes:
+            window, mecs, now = random_window(rng, n), random_mecs(rng), float(rng.uniform(0, 2))
+            assert sched.select(window, mecs, now) == reference_pick(policy, window, mecs, now)
+
+    @pytest.mark.parametrize("algorithm", ["dqn", "ppo"])
+    def test_deployed_shape_equals_the_reference_on_2_to_20_tasks(self, algorithm):
+        rng = np.random.default_rng(9)
+        policy = deployed_policy(algorithm, seed=4)
+        sched = PolicyScheduler(policy)
+        for n in [*range(2, 21)] * 3:
             window, mecs, now = random_window(rng, n), random_mecs(rng), float(rng.uniform(0, 2))
             assert sched.select(window, mecs, now) == reference_pick(policy, window, mecs, now)
 

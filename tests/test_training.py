@@ -9,7 +9,7 @@ from vecoff.rl.dqn import ReplayBuffer, train_dqn
 from vecoff.rl.envs import OffloadEnv, ToyTwoActionEnv
 from vecoff.rl.nets import Mlp
 from vecoff.rl.params import DqnParams, PpoParams
-from vecoff.rl.policy import Policy, masked_argmax, masked_softmax
+from vecoff.rl.policy import Policy, masked_argmax, masked_softmax, policy_to_dict
 from vecoff.rl.ppo import train_ppo
 from vecoff.rl.training import SnapshotKeeper, TrainingDiverged
 from vecoff.config import default_config
@@ -138,6 +138,25 @@ def test_training_outputs_are_pinned(algo):
     _, train, params = SKELETON_RUNS[algo]
     result = train(tiny_offload_env(), params, seed=5)
     assert (result.eval_curve, result.best_eval) == PINNED_EVALS[algo]
+
+
+@pytest.mark.parametrize("algo", ["dqn", "ppo"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_acting_through_the_batch_forward_trains_the_same(algo, seed, live_nets, monkeypatch):
+    # the acting steps run Mlp.forward_one; Mlp.forward is the reference.
+    # A rollout of 16 updates PPO's nets between acting steps.
+    _, train, params = SKELETON_RUNS[algo]
+    if algo == "ppo":
+        params = dataclasses.replace(params, rollout=16, minibatch=8)
+    lean = train(tiny_offload_env(), params, seed=seed)
+    monkeypatch.setattr(Mlp, "forward_one", lambda self, x: Mlp.forward(self, x))
+    batch = train(tiny_offload_env(), params, seed=seed)
+    assert lean.reward_curve == batch.reward_curve
+    assert lean.eval_curve == batch.eval_curve
+    assert policy_to_dict(lean.policy) == policy_to_dict(batch.policy)
+    # the final weights as well as the kept snapshot
+    for name, net in live_nets[0].items():
+        assert all(np.array_equal(a, b) for a, b in zip(net.params(), live_nets[1][name].params()))
 
 
 def test_held_out_set_is_drawn_once(monkeypatch):
