@@ -12,7 +12,9 @@ against the same replay score (``replay_cost``); they differ only in the
 server availabilities a replay starts from and in their warm starts. The
 per-window swarm replays each distinct ordering once per window and
 reuses its score: a window holds few tasks, so its particles mostly
-decode to orderings already scored.
+decode to orderings already scored. The search steps in place and draws
+its random numbers a bounded block of steps at a time, in the stream one
+draw per step makes; the bound caps memory at the offline default budget.
 
 ``replay_cost`` keeps the server availabilities in a heap rather than
 in server order. A replay's score depends only on the multiset of
@@ -55,6 +57,7 @@ from .engine import (
 )
 
 BRUTE_FORCE_LIMIT = 8
+_DRAW_BLOCK = 1 << 16  # values per random draw of ``swarm_search``: 512 KiB
 
 
 @dataclass
@@ -298,6 +301,11 @@ def swarm_search(
     first at the keys of ``starts``, so the search never finishes worse
     than those orderings; the rest start at random keys. Returns the best
     (score, ordering) ever evaluated, earliest on ties.
+
+    A step runs in place, with the whole-array form's operations in its
+    order. Random numbers come a block of steps at a time, at most
+    ``_DRAW_BLOCK`` values (one draw at the offline default budget would
+    take 16 MB), in the stream one draw per step makes, the last block cut.
     """
     swarm = max(pso.swarm_size, len(starts))
     x = rng.uniform(0.0, 1.0, size=(swarm, n))
@@ -309,14 +317,24 @@ def swarm_search(
     pbest_val = [math.inf] * swarm
     best_val = math.inf
     best_ord: tuple[int, ...] = ()
+    pulls = np.empty((2, swarm, n))  # pbest_x - x and gbest_x - x, each step
+    pull_p, pull_g = pulls
+    weights = np.array([pso.c1, pso.c2], dtype=float)[:, None, None]
+    block = max(1, _DRAW_BLOCK // max(1, 2 * swarm * n))
     for step in range(iterations + 1):
         if step:  # step 0 scores the starting swarm
-            r1, r2 = rng.random((2, swarm, n))
-            v = (
-                pso.inertia * v
-                + pso.c1 * r1 * (pbest_x - x)
-                + pso.c2 * r2 * (gbest_x - x)
-            )
+            k = (step - 1) % block
+            if not k:  # the last block is cut, so the stream ends where it should
+                draws = rng.random((min(block, iterations + 1 - step), 2, swarm, n))
+                draws *= weights
+            np.subtract(pbest_x, x, out=pull_p)
+            np.subtract(gbest_x, x, out=pull_g)
+            # the draws hold c1 * r1 and c2 * r2, so these are the form's
+            # products, then added to inertia * v in the form's order
+            pulls *= draws[k]
+            v *= pso.inertia
+            v += pull_p
+            v += pull_g
             # np.clip's result, measured faster on a window's small arrays
             np.maximum(v, -pso.velocity_clamp, out=v)
             np.minimum(v, pso.velocity_clamp, out=v)
@@ -330,9 +348,9 @@ def swarm_search(
                 # best can be a new swarm best
                 if val < best_val:
                     best_val, best_ord = val, order
-        # the first least personal best, as np.argmin picks; a view, which
-        # no write reaches before the next step reads it
-        gbest_x = pbest_x[pbest_val.index(min(pbest_val))]
+        # the first least personal best (best_val), as np.argmin picks; a
+        # view, which no write reaches before the next step reads it
+        gbest_x = pbest_x[pbest_val.index(best_val)]
     return best_val, best_ord
 
 

@@ -99,3 +99,62 @@ def test_a_run_is_read_from_its_output(tmp_path):
     assert result["attempted"] == 2
     assert result["speed_scale"] == {"pass": 0.7}
     assert json.loads(result["facts_line"][len("# facts: "):]) == {"report_sha256": "cd"}
+
+
+def runs_of(parent, change, name="decide_mean_us.on-dyn-pso"):
+    """Each side's runs, one metric value per pair."""
+    run = lambda v: {"failed": 0, "attempted": 1, "facts_line": None,
+                     "metrics": {name: {"value": v, "unit": "us"}}}
+    return {"parent": [run(v) for v in parent], "change": [run(v) for v in change]}
+
+
+PARENT = [190.0, 192.0, 191.0, 189.0, 193.0, 190.5, 191.5, 192.5, 189.5, 190.0]
+NAME = "decide_mean_us.on-dyn-pso"
+
+
+def test_a_clear_win_meets_the_claim_rule():
+    entry = bench_pairs.summarise(runs_of(PARENT, [v - 25.0 for v in PARENT]), {NAME: "lower"})
+    rule = entry["claim_rule"][NAME]
+    assert rule["wins_nine_tenths"] and rule["gap_beyond_spread"]
+    assert rule["parent_spread"] == 191.875 - 190.0
+    assert abs(rule["relative_change"] - (-25.0 / 190.75)) < 1e-12
+    line = bench_pairs.summary_line(entry, "study", 1, NAME)
+    assert "(-13.11%), change better in 10 of 10; parent spread 1.875" in line
+    assert line.endswith("won 9/10: yes, gap beyond spread: yes")
+
+
+def test_seven_wins_in_ten_do_not_meet_it():
+    change = [v - 25.0 for v in PARENT[:7]] + [v + 1.0 for v in PARENT[7:]]
+    rule = bench_pairs.summarise(runs_of(PARENT, change), {NAME: "lower"})["claim_rule"][NAME]
+    assert not rule["wins_nine_tenths"] and rule["gap_beyond_spread"]
+
+
+def test_ties_count_for_neither_side():
+    change = [v - 25.0 for v in PARENT[:8]] + PARENT[8:]
+    rule = bench_pairs.summarise(runs_of(PARENT, change), {NAME: "lower"})["claim_rule"][NAME]
+    assert not rule["wins_nine_tenths"]
+    change = [v - 25.0 for v in PARENT[:9]] + PARENT[9:]
+    rule = bench_pairs.summarise(runs_of(PARENT, change), {NAME: "lower"})["claim_rule"][NAME]
+    assert rule["wins_nine_tenths"]
+
+
+def test_a_gap_inside_the_parents_spread_does_not_meet_it():
+    parent = [100.0 + 10.0 * k for k in range(10)]
+    entry = bench_pairs.summarise(runs_of(parent, [v - 5.0 for v in parent]), {NAME: "lower"})
+    rule = entry["claim_rule"][NAME]
+    assert rule["wins_nine_tenths"] and not rule["gap_beyond_spread"]
+    assert rule["parent_spread"] == 45.0
+    assert bench_pairs.summary_line(entry, "study", 1, NAME).endswith(
+        "won 9/10: yes, gap beyond spread: no")
+
+
+def test_the_rule_follows_the_metrics_direction():
+    parent = [0.5, 0.6, 0.55, 0.52, 0.58]
+    runs = runs_of(parent, [v + 0.2 for v in parent], "offline_swarm_gain")
+    rule = bench_pairs.summarise(runs, {"offline_swarm_gain": "higher"})["claim_rule"]
+    assert rule["offline_swarm_gain"]["wins_nine_tenths"]
+    assert rule["offline_swarm_gain"]["gap_beyond_spread"]
+    runs = runs_of(parent, [v - 0.2 for v in parent], "offline_swarm_gain")
+    rule = bench_pairs.summarise(runs, {"offline_swarm_gain": "higher"})["claim_rule"]
+    assert not rule["offline_swarm_gain"]["wins_nine_tenths"]
+    assert not rule["offline_swarm_gain"]["gap_beyond_spread"]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,6 +248,60 @@ class TestReplayCost:
         assert replay_cost((0,), [3.0], *args) == 0.6
 
 
+def whole_array_swarm_search(score, n, starts, iterations, pso, rng):
+    """``swarm_search`` as a whole-array step with one draw per step: the
+    reference its in-place, block-drawn step is pinned to."""
+    swarm = max(pso.swarm_size, len(starts))
+    x = rng.uniform(0.0, 1.0, size=(swarm, n))
+    v = rng.uniform(-0.1, 0.1, size=(swarm, n))
+    for row, ordering in enumerate(starts):
+        x[row] = _ordering_to_position(ordering, n)
+    pbest_x = x.copy()
+    pbest_val = [math.inf] * swarm
+    best_val = math.inf
+    best_ord = ()
+    for step in range(iterations + 1):
+        if step:
+            r1, r2 = rng.random((2, swarm, n))
+            v = (
+                pso.inertia * v
+                + pso.c1 * r1 * (pbest_x - x)
+                + pso.c2 * r2 * (gbest_x - x)
+            )
+            np.maximum(v, -pso.velocity_clamp, out=v)
+            np.minimum(v, pso.velocity_clamp, out=v)
+            x += v
+        for i, order in enumerate(heuristics.decode_priorities(x)):
+            val = score(order)
+            if val < pbest_val[i]:
+                pbest_val[i] = val
+                pbest_x[i] = x[i]
+                if val < best_val:
+                    best_val, best_ord = val, order
+        gbest_x = pbest_x[pbest_val.index(min(pbest_val))]
+    return best_val, best_ord
+
+
+@st.composite
+def swarm_cases(draw):
+    """A search's arguments, and a draw block of 1 to 7 of its steps."""
+    n = draw(st.one_of(st.integers(0, 12), st.sampled_from([60, 137, 200])))
+    swarm = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**31 - 1))
+    perm = np.random.default_rng(seed).permutation
+    starts = [perm(n).tolist() for _ in range(draw(st.integers(0, swarm + 3)))]
+    pso = PsoParams(
+        swarm_size=swarm,
+        inertia=draw(st.floats(-1.2, 1.2)),
+        c1=draw(st.floats(-3.0, 3.0)),
+        c2=draw(st.floats(-3.0, 3.0)),
+        velocity_clamp=draw(st.one_of(st.floats(0.01, 2.0), st.just(math.inf))),
+    )
+    step_values = 2 * max(swarm, len(starts)) * n
+    block = draw(st.integers(1, 7)) * step_values + draw(st.integers(0, max(step_values - 1, 0)))
+    return n, starts, draw(st.integers(0, 40)), pso, seed, block
+
+
 class TestSwarmSearch:
     def test_returns_the_best_ordering_it_scored(self):
         rng = np.random.default_rng(4)
@@ -292,6 +347,44 @@ class TestSwarmSearch:
             n, starts, iterations, PsoParams(), rng,
         )
         assert (val, order, rng.random()) == expected
+
+    @pytest.mark.parametrize("n, expected", [
+        (0, (0.0, (), 0.5118216247002567)),
+        (1, (1.0, (0,), 0.6234897555375004)),
+    ])
+    def test_no_task_and_one_task(self, n, expected):
+        rng = np.random.default_rng(1)
+        val, order = swarm_search(
+            lambda order: float(len(order)), n, [], 3, PsoParams(swarm_size=4), rng,
+        )
+        assert (val, order, rng.random()) == expected
+
+    @given(case=swarm_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_in_place_step_equals_the_whole_array_step(self, case):
+        # every step's positions, the result and the generator's state
+        # agree bit for bit, across draw blocks of one and of several
+        # steps and a last block cut short
+        n, starts, iterations, pso, seed, block = case
+        weights = [(3 * pos + 1) % 4 for pos in range(n)]
+        runs = []
+        for search in (swarm_search, whole_array_swarm_search):
+            positions = []
+
+            def recording_decode(x):
+                positions.append(x.tobytes())
+                return decode_priorities(x)
+
+            rng = np.random.default_rng(seed)
+            with mock.patch.object(heuristics, "_DRAW_BLOCK", block), \
+                    mock.patch.object(heuristics, "decode_priorities", recording_decode):
+                result = search(
+                    lambda order: float(sum(weights[pos] * (rank // 3)
+                                            for rank, pos in enumerate(order))),
+                    n, starts, iterations, pso, rng,
+                )
+            runs.append((result, positions, rng.bit_generator.state))
+        assert runs[0] == runs[1]
 
 
 class TestBruteForceOracle:

@@ -14,7 +14,13 @@ failed and attempted counts, report hash and speed scales, and each
 metric's median and inclusive quartiles; for each metric, the pairs
 where the change read better, by the direction ``BENCHMARK.json``
 gives it, and the pairs where both read the same. The facts line of
-the last run is kept too. Standard library only.
+the last run is kept too.
+
+Each metric's summary line also states the claim rule for a gain: the
+relative change of the medians, the parent's quartile spread, whether
+the change read better in at least nine tenths of the pairs (ties count
+for neither side) and whether the medians differ, in the change's
+favour, by more than that spread. Standard library only.
 """
 
 from __future__ import annotations
@@ -97,8 +103,39 @@ def summarise(runs: dict[str, list[dict[str, Any]]], better: dict[str, str]) -> 
         ties[name] = sum(a == b for a, b in zip(p, c))
     entry["change_better_in_pairs"] = wins
     entry["equal_in_pairs"] = ties
+    entry["claim_rule"] = {name: claim_rule(entry, name, better.get(name, "lower"))
+                           for name in wins}
     entry["facts_line"] = runs["change"][-1].get("facts_line")
     return entry
+
+
+def claim_rule(entry: dict[str, Any], name: str, better: str) -> dict[str, Any]:
+    """The claim rule for a gain on ``name``: the change reads better in
+    at least 9 of every 10 pairs, and its median beats the parent's by
+    more than the parent's quartile spread."""
+    parent, change = entry["sides"]["parent"], entry["sides"]["change"]
+    base, median = parent["median"][name], change["median"][name]
+    q1, _, q3 = parent["quartiles"][name]
+    gain = (base - median) if better == "lower" else (median - base)
+    return {
+        "relative_change": (median - base) / base if base else None,
+        "parent_spread": q3 - q1,
+        "wins_nine_tenths": 10 * entry["change_better_in_pairs"][name] >= 9 * entry["pairs"],
+        "gap_beyond_spread": gain > q3 - q1,
+    }
+
+
+def summary_line(entry: dict[str, Any], workload: str, seed: int, name: str) -> str:
+    """One metric's medians, pairs won and claim rule, on one line."""
+    rule = entry["claim_rule"][name]
+    rel = rule["relative_change"]
+    return (f"{workload} seed {seed} {name}: parent "
+            f"{entry['sides']['parent']['median'][name]:.6g} change "
+            f"{entry['sides']['change']['median'][name]:.6g} "
+            f"({'n/a' if rel is None else f'{rel:+.2%}'}), change better in "
+            f"{entry['change_better_in_pairs'][name]} of {entry['pairs']}; parent spread "
+            f"{rule['parent_spread']:.6g}; won 9/10: {('no', 'yes')[rule['wins_nine_tenths']]}, "
+            f"gap beyond spread: {('no', 'yes')[rule['gap_beyond_spread']]}")
 
 
 def run_pairs(
@@ -166,10 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, median in entry["sides"]["change"]["median"].items():
-        print(f"{args.workload} seed {args.seed} {name}: parent "
-              f"{entry['sides']['parent']['median'][name]:.6g} change {median:.6g}, "
-              f"change better in {entry['change_better_in_pairs'][name]} of {args.pairs}")
+    for name in entry["sides"]["change"]["median"]:
+        print(summary_line(entry, args.workload, args.seed, name))
     return 0
 
 
