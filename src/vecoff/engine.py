@@ -18,6 +18,13 @@ marginal tasks, including the one it just picked (which is then dropped).
 
 Event ties at one timestamp resolve server-release events before arrivals,
 so a task arriving exactly when a server frees takes the idle-server path.
+
+Cost. Every window pays this loop, so it spares the interpreter while it
+does the protocol's IEEE operations in the same order. Arrival events are
+heapified at once; each event tuple is unique, so they pop as pushed ones
+would. ``TaskStatus`` members are read once, at import: a member read is
+a descriptor call. ``b if b > a else a`` stands for ``max(a, b)``, which
+returns that same float, ties and signed zeros included.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .domain import MecState, SimConfig, Task, TaskStatus
 
 _MEC_FREE = 0
 _ARRIVAL = 1
+_PENDING, _COMPLETED, _DROPPED = TaskStatus.PENDING, TaskStatus.COMPLETED, TaskStatus.DROPPED
+_TERMINAL = (_COMPLETED, _DROPPED)
 
 
 class SchedulingProtocolError(RuntimeError):
@@ -91,11 +100,11 @@ class EpisodeResult:
 
     @property
     def completed(self) -> list[Task]:
-        return [t for t in self.tasks if t.status is TaskStatus.COMPLETED]
+        return [t for t in self.tasks if t.status is _COMPLETED]
 
     @property
     def dropped(self) -> list[Task]:
-        return [t for t in self.tasks if t.status is TaskStatus.DROPPED]
+        return [t for t in self.tasks if t.status is _DROPPED]
 
     @property
     def num_dropped(self) -> int:
@@ -172,12 +181,16 @@ class Scheduler(Protocol):
 def earliest_availability(mecs: Sequence[MecState]) -> tuple[int, float]:
     """(server id, availability) of the first server to become free.
 
-    Ties go to the lowest server index.
+    Ties go to the lowest server id, wherever it sits in ``mecs``.
     """
     if not mecs:
         raise ValueError("no servers")
-    best = min(mecs, key=lambda m: (m.available_at, m.id))
-    return best.id, best.available_at
+    best_id, best_at = mecs[0].id, mecs[0].available_at
+    for m in mecs:
+        at = m.available_at
+        if at < best_at or (at == best_at and m.id < best_id):
+            best_id, best_at = m.id, at
+    return best_id, best_at
 
 
 def slack(task: Task) -> float:
@@ -213,16 +226,15 @@ def build_window(
     queued = [t for t in pending if t.arrival <= t_e_av]
     feasible = []
     for t in queued:
-        if is_feasible_at(t, max(t_e_av, t.arrival)):
+        # t arrived by t_e_av, so t_e_av is max(t_e_av, t.arrival), float for float
+        if is_feasible_at(t, t_e_av):
             feasible.append(t)
         else:
-            t.transition(TaskStatus.DROPPED)
+            t.transition(_DROPPED)
     if len(feasible) < len(queued):
         # by status, not by value: list.remove would compare whole tasks
-        pending[:] = [t for t in pending if t.status is TaskStatus.PENDING]
-    return DecisionWindow(
-        index=index, queued=queued, feasible=feasible, earliest_avail=t_e_av
-    )
+        pending[:] = [t for t in pending if t.status is _PENDING]
+    return DecisionWindow(index, queued, feasible, t_e_av)
 
 
 def assign(task: Task, mec: MecState, at: float | None = None) -> float | None:
@@ -235,13 +247,14 @@ def assign(task: Task, mec: MecState, at: float | None = None) -> float | None:
     frees again is returned. Otherwise the task is dropped, no timing
     field is set, the server is left untouched, and ``None`` is returned.
     """
-    start = max(mec.available_at, task.arrival)
-    if at is not None:
-        start = max(start, at)
+    a = task.arrival
+    start = a if a > mec.available_at else mec.available_at  # max(available_at, a)
+    if at is not None and at > start:
+        start = at
     if not is_feasible_at(task, start):
-        task.transition(TaskStatus.DROPPED)
+        task.transition(_DROPPED)
         return None
-    task.transition(TaskStatus.COMPLETED)
+    task.transition(_COMPLETED)
     task.start_proc = start
     task.assigned_mec = mec.id
     mec.add_busy(start, start + task.proc_time)
@@ -263,41 +276,41 @@ def episode_loop(
     are mutated in place. The generator's return value is the
     EpisodeResult.
     """
-    mecs = [MecState(id=j + 1) for j in range(cfg.num_mecs)]
+    mecs = [MecState(j + 1) for j in range(cfg.num_mecs)]
     by_task_id: dict[int, Task] = {}
     events: list[tuple[float, int, int]] = []
     for t in tasks:
-        if t.status is not TaskStatus.PENDING:
+        if t.status is not _PENDING:
             raise ValueError(f"task {t.id} is {t.status.value}, expected pending")
         if t.comm_time is None:
             raise ValueError(f"task {t.id} has no comm_time attached")
         if t.id in by_task_id:
             raise ValueError(f"duplicate task id {t.id}")
         by_task_id[t.id] = t
-        heapq.heappush(events, (t.arrival, _ARRIVAL, t.id))
+        events.append((t.arrival, _ARRIVAL, t.id))
+    heapq.heapify(events)  # the tuples are unique, so pops keep their order
 
     pending: list[Task] = []
     windows: list[WindowRecord] = []
     clock = 0.0
     window_index = 0
-
-    def place(task: Task, sid: int) -> None:
-        free_at = assign(task, mecs[sid - 1], at=clock)
-        if free_at is not None:
-            heapq.heappush(events, (free_at, _MEC_FREE, sid))
+    charge = cfg.charge_exec_time
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     while events:
-        ev_time, kind, key = heapq.heappop(events)
-        clock = max(clock, ev_time)
+        ev_time, kind, key = heappop(events)
+        if ev_time > clock:  # max(clock, ev_time)
+            clock = ev_time
 
         if kind == _ARRIVAL:
-            task = by_task_id[key]
             sid, avail = earliest_availability(mecs)
             if avail > clock:
-                pending.append(task)
-            else:
-                # Idle server: assign on arrival, no scheduler involved.
-                place(task, sid)
+                pending.append(by_task_id[key])
+                continue
+            # Idle server: assign on arrival, no scheduler involved.
+            free_at = assign(by_task_id[key], mecs[sid - 1], clock)
+            if free_at is not None:
+                heappush(events, (free_at, _MEC_FREE, sid))
             continue
 
         # A server released its task; drain the queue while anything is
@@ -307,42 +320,41 @@ def episode_loop(
             if t_e_av > clock:
                 break
             window_index += 1
-            window = build_window(pending, t_e_av, clock, index=window_index)
-            record = WindowRecord(
-                index=window.index,
-                queue_size=len(window.queued),
-                feasible_size=len(window.feasible),
-            )
+            window = build_window(pending, t_e_av, clock, window_index)
+            feasible = window.feasible
+            record = WindowRecord(window_index, len(window.queued), len(feasible))
             windows.append(record)
-            if not window.feasible:
+            if not feasible:
                 # everything in the snapshot was dropped by the filter;
                 # pending shrank, so the loop makes progress
                 continue
-            choice, duration = yield DecisionPoint(window=window, mecs=mecs, now=clock)
-            if not isinstance(choice, int) or not (0 <= choice < len(window.feasible)):
+            choice, duration = yield DecisionPoint(window, mecs, clock)
+            if not isinstance(choice, int) or not (0 <= choice < len(feasible)):
                 raise SchedulingProtocolError(
                     f"scheduler returned {choice!r} for a window of "
-                    f"{len(window.feasible)} feasible tasks"
+                    f"{len(feasible)} feasible tasks"
                 )
             if not duration >= 0:
                 raise SchedulingProtocolError(f"decision duration must be >= 0, got {duration}")
             record.duration = duration
-            if cfg.charge_exec_time and duration > 0:
+            if charge and duration > 0:
                 clock += duration
-            task = window.feasible[choice]
+            task = feasible[choice]
             for i, t in enumerate(pending):  # by identity, not list.remove's value test
                 if t is task:
                     del pending[i]
                     break
             # a charged decision can take long enough to expire its pick
-            place(task, sid)
+            free_at = assign(task, mecs[sid - 1], clock)
+            if free_at is not None:
+                heappush(events, (free_at, _MEC_FREE, sid))
 
     if pending:
         raise RuntimeError(
             f"engine finished with {len(pending)} tasks still pending"
         )
     for t in tasks:
-        if t.status not in (TaskStatus.COMPLETED, TaskStatus.DROPPED):
+        if t.status not in _TERMINAL:
             raise RuntimeError(f"task {t.id} ended in state {t.status.value}")
 
     return EpisodeResult(tasks=list(tasks), windows=windows)

@@ -369,6 +369,7 @@ def run_matrix(
     ordered = [a for a in algos if a != "off-sta-pso"] + [
         a for a in algos if a == "off-sta-pso"
     ]
+    warm_starts = "off-sta-pso" in algos  # nothing else reads the online orderings
     for vehicles in vehicle_counts:
         columns = {
             seed: prepare_episode(build_episode_tasks(config, vehicles, seed)[1], config.channel)
@@ -391,7 +392,7 @@ def run_matrix(
                     seed_orderings=executed[seed],
                 )
                 cell_rows.append(row)
-                if algo != "off-sta-pso":
+                if warm_starts and algo != "off-sta-pso":
                     executed[seed].append(heuristics.induced_ordering(result))
             rows_by_algo[algo] = cell_rows
         # report in the caller's algorithm order, not execution order

@@ -58,6 +58,7 @@ from .engine import (
 
 BRUTE_FORCE_LIMIT = 8
 _DRAW_BLOCK = 1 << 16  # values per random draw of ``swarm_search``: 512 KiB
+_COMPLETED = TaskStatus.COMPLETED  # read once: a member read is a descriptor call
 
 
 @dataclass
@@ -163,7 +164,7 @@ def induced_ordering(result: EpisodeResult) -> tuple[int, ...]:
     completed = []
     dropped = []
     for t in result.tasks:
-        if t.status is TaskStatus.COMPLETED:
+        if t.status is _COMPLETED:
             completed.append((t.start_proc, t.id))
         else:
             dropped.append((t.deadline, t.id))

@@ -35,6 +35,27 @@ class TestEarliestAvailability:
         mecs = [MecState(id=1), MecState(id=2)]
         assert earliest_availability(mecs) == (1, 0.0)
 
+    def test_tie_goes_to_lowest_id_out_of_list_order(self):
+        # a loop that keeps the first least server in list order gives 3
+        mecs = [MecState(id=3, available_at=2.0), MecState(id=1, available_at=2.0),
+                MecState(id=2, available_at=5.0)]
+        assert earliest_availability(mecs) == (1, 2.0)
+
+    def test_three_servers_tied_two_ways(self):
+        # ids 3 and 2 tie below id 1; then all three tie
+        mecs = [MecState(id=3, available_at=1.0), MecState(id=2, available_at=1.0),
+                MecState(id=1, available_at=4.0)]
+        assert earliest_availability(mecs) == (2, 1.0)
+        assert earliest_availability(list(reversed(mecs))) == (2, 1.0)
+        mecs[2].available_at = 1.0
+        assert earliest_availability(mecs) == (1, 1.0)
+
+    def test_the_winners_own_float_is_returned(self):
+        # 0.0 == -0.0: the tie goes to id 1, and so does the signed zero
+        mecs = [MecState(id=2, available_at=0.0), MecState(id=1, available_at=-0.0)]
+        sid, at = earliest_availability(mecs)
+        assert sid == 1 and math.copysign(1.0, at) == -1.0
+
     def test_no_servers_rejected(self):
         with pytest.raises(ValueError):
             earliest_availability([])

@@ -272,6 +272,20 @@ class TestMatrix:
         assert len(report.rows) == len(ALGO_TAGS)
         assert len(attaches) == 1
 
+    def test_orderings_are_recovered_only_for_the_offline_swarm(self, monkeypatch):
+        calls = []
+        real = heuristics.induced_ordering
+        monkeypatch.setattr(
+            heuristics, "induced_ordering", lambda result: calls.append(1) or real(result)
+        )
+        kwargs = dict(vehicle_counts=(20, 30), seeds=(1, 2),
+                      synthetic_costs={"fcfs": 1e-4, "sdf": 1e-4, "off-sta-pso": 1.0})
+        online = run_matrix(small_config(), algos=("fcfs", "sdf"), **kwargs)
+        assert calls == []
+        both = run_matrix(small_config(), algos=("fcfs", "off-sta-pso", "sdf"), **kwargs)
+        assert len(calls) == 2 * 2 * 2  # one per online cell
+        assert online.rows == [r for r in both.rows if r.algo != "off-sta-pso"]
+
     @pytest.mark.parametrize("algo", ["fcfs", "off-sta-pso"])
     def test_a_prepared_column_runs_as_its_task_list(self, algo):
         cfg = small_config()

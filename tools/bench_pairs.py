@@ -21,6 +21,20 @@ relative change of the medians, the parent's quartile spread, whether
 the change read better in at least nine tenths of the pairs (ties count
 for neither side) and whether the medians differ, in the change's
 favour, by more than that spread. Standard library only.
+
+``--workload episode`` times the engine alone instead of the benchmark:
+
+    python3 tools/bench_pairs.py --parent ../base --change . \\
+        --workload episode --seed 1 --pairs 6 --repeats 41 --label mine
+
+Each run is a fresh interpreter in the checkout that prepares the sdf
+episodes at 200 vehicles with 1 and with 3 tasks per vehicle (default
+config, the given seed) and simulates each ``--repeats`` times under a
+fixed 0.1 ms decision charge. Its metrics are the median episode time of
+each, ``episode_ms.sdf.200x1`` and ``episode_ms.sdf.200x3``, and its
+``report_sha256`` hashes the task records and window logs, so the same
+pairs check that both sides schedule alike. The record goes under the
+file's ``episode`` key, beside ``workloads``.
 """
 
 from __future__ import annotations
@@ -36,6 +50,37 @@ from typing import Any, Callable
 SIDES = ("parent", "change")
 FACTS = "# facts: "
 UNSCALED = "# unscaled timings: "
+EPISODES = (1, 3)  # tasks per vehicle of the timed sdf episodes, at 200 vehicles
+
+# What one ``--workload episode`` run executes in the checkout, with the
+# seed, the repeats and EPISODES as its arguments.
+EPISODE_PROBE = """
+import dataclasses, hashlib, json, statistics, sys, time
+from vecoff.config import default_config
+from vecoff.engine import prepare_episode, run_episode
+from vecoff.experiments import build_episode_tasks
+from vecoff.heuristics import SdfScheduler
+
+seed, repeats, per_vehicle = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+digest, metrics = hashlib.sha256(), {}
+for k in per_vehicle:
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, tasks_per_vehicle=k))
+    prepared = prepare_episode(build_episode_tasks(cfg, 200, seed)[1], cfg.channel)
+    times = []
+    for _ in range(repeats + 1):
+        t0 = time.perf_counter()
+        result = run_episode(prepared, SdfScheduler(), cfg.sim, cfg.channel, exec_cost=1e-4)
+        times.append(time.perf_counter() - t0)
+    for t in result.tasks:
+        digest.update(json.dumps(t.to_dict(), sort_keys=True).encode())
+    for w in result.windows:
+        digest.update(json.dumps(dataclasses.asdict(w), sort_keys=True).encode())
+    metrics[f"episode_ms.sdf.200x{k}"] = {"value": statistics.median(times[1:]) * 1e3, "unit": "ms"}
+facts = {"seed": seed, "repeats": repeats, "report_sha256": digest.hexdigest()}
+print("# facts: " + json.dumps(facts))
+print(json.dumps({"failed": 0, "attempted": len(per_vehicle), "metrics": metrics}))
+"""
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict[str, Any]:
@@ -53,6 +98,20 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict[str,
     unscaled = next((ln for ln in lines if ln.startswith(UNSCALED)), None)
     if unscaled is not None:
         result["speed_scale"] = json.loads(unscaled[len(UNSCALED):])["speed_scale"]
+    return result
+
+
+def run_episode_probe(checkout: str, seed: int, repeats: int) -> dict[str, Any]:
+    """One run of ``EPISODE_PROBE`` in a fresh interpreter in ``checkout``,
+    read as ``run_once`` reads a benchmark run."""
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", EPISODE_PROBE, str(seed), str(repeats), json.dumps(EPISODES)]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: the episode probe exited {proc.returncode}\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["facts_line"] = next((ln for ln in lines if ln.startswith(FACTS)), None)
     return result
 
 
@@ -172,19 +231,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True, choices=("study", "charged", "train"))
+    parser.add_argument("--workload", required=True,
+                        choices=("study", "charged", "train", "episode"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--repeats", type=int, default=41,
+                        help="episodes timed per run of --workload episode (default 41)")
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--out-dir", default=".", help="where the file goes (default: here)")
     parser.add_argument("--what", help="a description to store in the file")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.repeats < 1:
+        parser.error("--pairs and --repeats must be at least 1")
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    runs = run_pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds)
+    episode = args.workload == "episode"
+    run = (lambda checkout, workload, seed, seconds:
+           run_episode_probe(checkout, seed, args.repeats)) if episode else None
+    runs = run_pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds, run=run)
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     record: dict[str, Any] = {}
     if os.path.exists(path):
@@ -192,14 +257,16 @@ def main(argv: list[str] | None = None) -> int:
             record = json.load(fh)
     if args.what:
         record["what"] = args.what
-    record.update(
-        label=args.label,
-        command=f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                f"--seconds {args.seconds} --trace 0",
-        commits={side: git_head(checkouts[side]) for side in SIDES},
-    )
+    record.update(label=args.label, commits={side: git_head(checkouts[side]) for side in SIDES})
     entry = summarise(runs, directions(checkouts["change"]))
-    record.setdefault("workloads", {}).setdefault(args.workload, {})[str(args.seed)] = entry
+    if episode:
+        entry["command"] = (f"tools/bench_pairs.py EPISODE_PROBE, {args.repeats} repeats, "
+                            f"tasks per vehicle {list(EPISODES)}")
+        record.setdefault("episode", {})[str(args.seed)] = entry
+    else:
+        record["command"] = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+                             f"--seconds {args.seconds} --trace 0")
+        record.setdefault("workloads", {}).setdefault(args.workload, {})[str(args.seed)] = entry
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
