@@ -158,3 +158,50 @@ def test_the_rule_follows_the_metrics_direction():
     rule = bench_pairs.summarise(runs, {"offline_swarm_gain": "higher"})["claim_rule"]
     assert not rule["offline_swarm_gain"]["wins_nine_tenths"]
     assert not rule["offline_swarm_gain"]["gap_beyond_spread"]
+
+
+def test_the_episode_probe_runs_in_this_checkout():
+    result = bench_pairs.run_episode_probe(str(ROOT), seed=1, repeats=1)
+    assert result["failed"] == 0 and result["attempted"] == len(bench_pairs.EPISODES)
+    assert sorted(result["metrics"]) == ["episode_ms.sdf.200x1", "episode_ms.sdf.200x3"]
+    assert all(m["value"] > 0 and m["unit"] == "ms" for m in result["metrics"].values())
+    facts = json.loads(result["facts_line"][len("# facts: "):])
+    assert facts["seed"] == 1 and facts["repeats"] == 1
+    assert len(facts["report_sha256"]) == 64
+
+
+def test_the_probe_gets_its_arguments(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "EPISODE_PROBE",
+                        "import json, os, sys\n"
+                        "print('# facts: ' + json.dumps({'argv': sys.argv[1:], 'cwd': os.getcwd()}))\n"
+                        "print(json.dumps({'failed': 0, 'attempted': 1, 'metrics': {}}))\n")
+    result = bench_pairs.run_episode_probe(str(tmp_path), seed=7919, repeats=41)
+    facts = json.loads(result["facts_line"][len("# facts: "):])
+    assert facts == {"argv": ["7919", "41", "[1, 3]"], "cwd": str(tmp_path)}
+
+
+def test_episode_pairs_go_under_their_own_key(tmp_path, monkeypatch):
+    order = []
+
+    def probe(checkout, seed, repeats):
+        order.append((checkout, seed, repeats))
+        ms = 20.0 if checkout.endswith("P") else 13.0
+        return {"failed": 0, "attempted": 2, "facts_line": None,
+                "metrics": {"episode_ms.sdf.200x3": {"value": ms, "unit": "ms"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_episode_probe", probe)
+    monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: None)
+    monkeypatch.setattr(bench_pairs, "directions", lambda checkout: {"wall_s": "lower"})
+    (tmp_path / "BENCH_t.json").write_text(json.dumps({"workloads": {"charged": {"1": {}}}}))
+    argv = ["--parent", "P", "--change", "C", "--pairs", "2", "--label", "t",
+            "--out-dir", str(tmp_path), "--workload", "episode", "--seed", "1",
+            "--repeats", "5"]
+    assert bench_pairs.main(argv) == 0
+    assert [(c[-1], s, r) for c, s, r in order] == [("P", 1, 5), ("C", 1, 5), ("C", 1, 5),
+                                                   ("P", 1, 5)]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(record["workloads"]) == ["charged"]
+    entry = record["episode"]["1"]
+    assert entry["change_better_in_pairs"] == {"episode_ms.sdf.200x3": 2}
+    assert entry["claim_rule"]["episode_ms.sdf.200x3"]["wins_nine_tenths"]
+    assert "5 repeats" in entry["command"]
