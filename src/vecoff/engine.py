@@ -294,23 +294,25 @@ def episode_loop(
     windows: list[WindowRecord] = []
     clock = 0.0
     window_index = 0
-    charge = cfg.charge_exec_time
-    heappop, heappush = heapq.heappop, heapq.heappush
+
+    def place(task: Task, sid: int) -> None:
+        free_at = assign(task, mecs[sid - 1], at=clock)
+        if free_at is not None:
+            heapq.heappush(events, (free_at, _MEC_FREE, sid))
 
     while events:
-        ev_time, kind, key = heappop(events)
+        ev_time, kind, key = heapq.heappop(events)
         if ev_time > clock:  # max(clock, ev_time)
             clock = ev_time
 
         if kind == _ARRIVAL:
+            task = by_task_id[key]
             sid, avail = earliest_availability(mecs)
             if avail > clock:
-                pending.append(by_task_id[key])
-                continue
-            # Idle server: assign on arrival, no scheduler involved.
-            free_at = assign(by_task_id[key], mecs[sid - 1], clock)
-            if free_at is not None:
-                heappush(events, (free_at, _MEC_FREE, sid))
+                pending.append(task)
+            else:
+                # Idle server: assign on arrival, no scheduler involved.
+                place(task, sid)
             continue
 
         # A server released its task; drain the queue while anything is
@@ -337,7 +339,7 @@ def episode_loop(
             if not duration >= 0:
                 raise SchedulingProtocolError(f"decision duration must be >= 0, got {duration}")
             record.duration = duration
-            if charge and duration > 0:
+            if cfg.charge_exec_time and duration > 0:
                 clock += duration
             task = feasible[choice]
             for i, t in enumerate(pending):  # by identity, not list.remove's value test
@@ -345,9 +347,7 @@ def episode_loop(
                     del pending[i]
                     break
             # a charged decision can take long enough to expire its pick
-            free_at = assign(task, mecs[sid - 1], clock)
-            if free_at is not None:
-                heappush(events, (free_at, _MEC_FREE, sid))
+            place(task, sid)
 
     if pending:
         raise RuntimeError(
