@@ -84,34 +84,33 @@ print(json.dumps({"failed": 0, "attempted": len(per_vehicle), "metrics": metrics
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict[str, Any]:
-    """One untraced benchmark run in ``checkout``: its last JSON line, plus
-    the ``# facts:`` line it printed and the speed scales from its
-    ``# unscaled timings:`` line (the factors its timings were scaled by)."""
+    """One untraced benchmark run in ``checkout``, read by ``read_run``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    return read_run(checkout, cmd, " ".join(cmd))
+
+
+def run_episode_probe(checkout: str, seed: int, repeats: int) -> dict[str, Any]:
+    """One run of ``EPISODE_PROBE`` in a fresh interpreter in ``checkout``,
+    read by ``read_run``."""
+    cmd = [sys.executable, "-c", EPISODE_PROBE, str(seed), str(repeats), json.dumps(EPISODES)]
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    return read_run(checkout, cmd, "the episode probe", env)
+
+
+def read_run(checkout: str, cmd: list[str], what: str, env=None) -> dict[str, Any]:
+    """Run ``cmd`` in ``checkout``: its last JSON line, plus the ``# facts:``
+    line it printed and the speed scales from its ``# unscaled timings:``
+    line (the factors its timings were scaled by), if it printed one."""
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+        raise RuntimeError(f"{checkout}: {what} exited {proc.returncode}\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     result["facts_line"] = next((ln for ln in lines if ln.startswith(FACTS)), None)
     unscaled = next((ln for ln in lines if ln.startswith(UNSCALED)), None)
     if unscaled is not None:
         result["speed_scale"] = json.loads(unscaled[len(UNSCALED):])["speed_scale"]
-    return result
-
-
-def run_episode_probe(checkout: str, seed: int, repeats: int) -> dict[str, Any]:
-    """One run of ``EPISODE_PROBE`` in a fresh interpreter in ``checkout``,
-    read as ``run_once`` reads a benchmark run."""
-    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, "-c", EPISODE_PROBE, str(seed), str(repeats), json.dumps(EPISODES)]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: the episode probe exited {proc.returncode}\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    result["facts_line"] = next((ln for ln in lines if ln.startswith(FACTS)), None)
     return result
 
 
