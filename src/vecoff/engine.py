@@ -21,10 +21,10 @@ so a task arriving exactly when a server frees takes the idle-server path.
 
 Cost. Every window pays this loop, so it spares the interpreter while it
 does the protocol's IEEE operations in the same order. Arrival events are
-heapified at once; each event tuple is unique, so they pop as pushed ones
-would. ``TaskStatus`` members are read once, at import: a member read is
-a descriptor call. ``b if b > a else a`` stands for ``max(a, b)``, which
-returns that same float, ties and signed zeros included.
+heapified at once; ``heappop`` yields the same sorted order however the
+heap was built. ``TaskStatus`` members are read once, at import: a member
+read is a descriptor call. ``b if b > a else a`` stands for ``max(a, b)``,
+which returns that same float, ties and signed zeros included.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def episode_loop(
             raise ValueError(f"duplicate task id {t.id}")
         by_task_id[t.id] = t
         events.append((t.arrival, _ARRIVAL, t.id))
-    heapq.heapify(events)  # the tuples are unique, so pops keep their order
+    heapq.heapify(events)  # pops in the same sorted order as pushed events
 
     pending: list[Task] = []
     windows: list[WindowRecord] = []

@@ -43,10 +43,10 @@ import numpy as np
 
 from .channel import attach_comm_times
 from .domain import (
-    FINITE, NON_NEGATIVE, POSITIVE, ChannelParams, MecState, SimConfig, Task, TaskStatus,
-    check_fields,
+    FINITE, NON_NEGATIVE, POSITIVE, ChannelParams, MecState, SimConfig, Task, check_fields,
 )
 from .engine import (
+    _COMPLETED,
     DecisionWindow,
     EpisodeResult,
     PreparedEpisode,
@@ -58,7 +58,6 @@ from .engine import (
 
 BRUTE_FORCE_LIMIT = 8
 _DRAW_BLOCK = 1 << 16  # values per random draw of ``swarm_search``: 512 KiB
-_COMPLETED = TaskStatus.COMPLETED  # read once: a member read is a descriptor call
 
 
 @dataclass

@@ -9,6 +9,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -160,8 +162,9 @@ def test_the_rule_follows_the_metrics_direction():
     assert not rule["offline_swarm_gain"]["gap_beyond_spread"]
 
 
-def test_the_episode_probe_runs_in_this_checkout():
-    result = bench_pairs.run_episode_probe(str(ROOT), seed=1, repeats=1)
+def test_the_episode_probe_runs_in_this_checkout(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "REPEATS", 1)
+    result = bench_pairs.run_episode_probe(str(ROOT), "episode", 1, None)
     assert result["failed"] == 0 and result["attempted"] == len(bench_pairs.EPISODES)
     assert sorted(result["metrics"]) == ["episode_ms.sdf.200x1", "episode_ms.sdf.200x3"]
     assert all(m["value"] > 0 and m["unit"] == "ms" for m in result["metrics"].values())
@@ -175,7 +178,7 @@ def test_the_probe_gets_its_arguments(tmp_path, monkeypatch):
                         "import json, os, sys\n"
                         "print('# facts: ' + json.dumps({'argv': sys.argv[1:], 'cwd': os.getcwd()}))\n"
                         "print(json.dumps({'failed': 0, 'attempted': 1, 'metrics': {}}))\n")
-    result = bench_pairs.run_episode_probe(str(tmp_path), seed=7919, repeats=41)
+    result = bench_pairs.run_episode_probe(str(tmp_path), "episode", 7919, None)
     facts = json.loads(result["facts_line"][len("# facts: "):])
     assert facts == {"argv": ["7919", "41", "[1, 3]"], "cwd": str(tmp_path)}
 
@@ -183,8 +186,8 @@ def test_the_probe_gets_its_arguments(tmp_path, monkeypatch):
 def test_episode_pairs_go_under_their_own_key(tmp_path, monkeypatch):
     order = []
 
-    def probe(checkout, seed, repeats):
-        order.append((checkout, seed, repeats))
+    def probe(checkout, workload, seed, seconds):
+        order.append((checkout, seed))
         ms = 20.0 if checkout.endswith("P") else 13.0
         return {"failed": 0, "attempted": 2, "facts_line": None,
                 "metrics": {"episode_ms.sdf.200x3": {"value": ms, "unit": "ms"}}}
@@ -194,14 +197,14 @@ def test_episode_pairs_go_under_their_own_key(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "directions", lambda checkout: {"wall_s": "lower"})
     (tmp_path / "BENCH_t.json").write_text(json.dumps({"workloads": {"charged": {"1": {}}}}))
     argv = ["--parent", "P", "--change", "C", "--pairs", "2", "--label", "t",
-            "--out-dir", str(tmp_path), "--workload", "episode", "--seed", "1",
-            "--repeats", "5"]
+            "--out-dir", str(tmp_path), "--workload", "episode", "--seed", "1"]
     assert bench_pairs.main(argv) == 0
-    assert [(c[-1], s, r) for c, s, r in order] == [("P", 1, 5), ("C", 1, 5), ("C", 1, 5),
-                                                   ("P", 1, 5)]
+    assert [(c[-1], seed) for c, seed in order] == [("P", 1), ("C", 1), ("C", 1), ("P", 1)]
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert list(record["workloads"]) == ["charged"]
     entry = record["episode"]["1"]
     assert entry["change_better_in_pairs"] == {"episode_ms.sdf.200x3": 2}
     assert entry["claim_rule"]["episode_ms.sdf.200x3"]["wins_nine_tenths"]
-    assert "5 repeats" in entry["command"]
+    assert "41 repeats" in entry["command"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--seconds", "10"])

@@ -25,12 +25,12 @@ favour, by more than that spread. Standard library only.
 ``--workload episode`` times the engine alone instead of the benchmark:
 
     python3 tools/bench_pairs.py --parent ../base --change . \\
-        --workload episode --seed 1 --pairs 6 --repeats 41 --label mine
+        --workload episode --seed 1 --pairs 6 --label mine
 
 Each run is a fresh interpreter in the checkout that prepares the sdf
 episodes at 200 vehicles with 1 and with 3 tasks per vehicle (default
-config, the given seed) and simulates each ``--repeats`` times under a
-fixed 0.1 ms decision charge. Its metrics are the median episode time of
+config, the given seed) and simulates each ``REPEATS`` (41) times under
+a fixed 0.1 ms decision charge; it takes no ``--seconds``. Its metrics are the median episode time of
 each, ``episode_ms.sdf.200x1`` and ``episode_ms.sdf.200x3``, and its
 ``report_sha256`` hashes the task records and window logs, so the same
 pairs check that both sides schedule alike. The record goes under the
@@ -51,6 +51,8 @@ SIDES = ("parent", "change")
 FACTS = "# facts: "
 UNSCALED = "# unscaled timings: "
 EPISODES = (1, 3)  # tasks per vehicle of the timed sdf episodes, at 200 vehicles
+REPEATS = 41  # timed simulations of each episode per run; the run reports their median
+SECONDS = 25  # default length of one benchmark run
 
 # What one ``--workload episode`` run executes in the checkout, with the
 # seed, the repeats and EPISODES as its arguments.
@@ -90,10 +92,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict[str,
     return read_run(checkout, cmd, " ".join(cmd))
 
 
-def run_episode_probe(checkout: str, seed: int, repeats: int) -> dict[str, Any]:
+def run_episode_probe(checkout: str, workload: str, seed: int, seconds: int) -> dict[str, Any]:
     """One run of ``EPISODE_PROBE`` in a fresh interpreter in ``checkout``,
-    read by ``read_run``."""
-    cmd = [sys.executable, "-c", EPISODE_PROBE, str(seed), str(repeats), json.dumps(EPISODES)]
+    read by ``read_run``. It has ``run_once``'s signature so ``run_pairs``
+    can call it; ``workload`` and ``seconds`` are not used."""
+    cmd = [sys.executable, "-c", EPISODE_PROBE, str(seed), str(REPEATS), json.dumps(EPISODES)]
     env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
     return read_run(checkout, cmd, "the episode probe", env)
 
@@ -234,21 +237,23 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("study", "charged", "train", "episode"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--repeats", type=int, default=41,
-                        help="episodes timed per run of --workload episode (default 41)")
+    parser.add_argument("--seconds", type=int,
+                        help=f"length of one benchmark run (default {SECONDS}); "
+                             "--workload episode takes none")
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--out-dir", default=".", help="where the file goes (default: here)")
     parser.add_argument("--what", help="a description to store in the file")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.repeats < 1:
-        parser.error("--pairs and --repeats must be at least 1")
+    episode = args.workload == "episode"
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if episode and args.seconds is not None:
+        parser.error("--workload episode takes no --seconds")
+    seconds = SECONDS if args.seconds is None else args.seconds
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    episode = args.workload == "episode"
-    run = (lambda checkout, workload, seed, seconds:
-           run_episode_probe(checkout, seed, args.repeats)) if episode else None
-    runs = run_pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds, run=run)
+    run = run_episode_probe if episode else None
+    runs = run_pairs(checkouts, args.workload, args.seed, args.pairs, seconds, run=run)
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     record: dict[str, Any] = {}
     if os.path.exists(path):
@@ -259,12 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     record.update(label=args.label, commits={side: git_head(checkouts[side]) for side in SIDES})
     entry = summarise(runs, directions(checkouts["change"]))
     if episode:
-        entry["command"] = (f"tools/bench_pairs.py EPISODE_PROBE, {args.repeats} repeats, "
+        entry["command"] = (f"tools/bench_pairs.py EPISODE_PROBE, {REPEATS} repeats, "
                             f"tasks per vehicle {list(EPISODES)}")
         record.setdefault("episode", {})[str(args.seed)] = entry
     else:
         record["command"] = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                             f"--seconds {args.seconds} --trace 0")
+                             f"--seconds {seconds} --trace 0")
         record.setdefault("workloads", {}).setdefault(args.workload, {})[str(args.seed)] = entry
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
