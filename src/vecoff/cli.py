@@ -1,14 +1,14 @@
 """Command-line front end.
 
-    vecoff gen-trace --vehicles 50 --seed 1 --out trace.csv
     vecoff train --algo dqn --out policy.json --curve curve.csv
     vecoff run --algo fcfs --vehicles 100 --seed 1 --out report.csv
     vecoff matrix --algos fcfs,sdf --out report.csv
     vecoff export --in report.json --format csv --out report.csv
 
-Every subcommand takes ``--config <json>`` (defaults apply when omitted)
-and exits 0 on success, 1 with a diagnostic on stderr otherwise; argparse
-reports usage errors with exit code 2.
+Every subcommand but ``export`` takes ``--config <json>`` (defaults apply
+when omitted); ``train`` and ``run`` take one ``--seed``, ``matrix`` a
+``--seeds`` list. Each exits 0 on success, 1 with a diagnostic on stderr
+otherwise; argparse reports usage errors with exit code 2.
 """
 
 from __future__ import annotations
@@ -52,57 +52,74 @@ def _parse_policy_args(pairs: list[str], default_algo: str | None) -> dict[str, 
 
 def _parse_cost_arg(text: str | None) -> dict[str, float] | None:
     """``--synthetic-exec-cost``: a single float applied to every
-    algorithm, or ``algo=seconds`` pairs separated by commas. Every cost
-    must be finite and non-negative; one error names each one that is not."""
+    algorithm, or ``algo=seconds`` pairs separated by commas, one per tag.
+    Every cost must be a finite, non-negative number; one error names each
+    one that is not, and every pair of a repeated tag."""
     if text is None:
         return None
     text = text.strip()
     try:
         flat = float(text)
     except ValueError:
-        costs: dict[str, float] = {}
+        given: list[tuple[str, str, float]] = []  # (tag, as written, cost)
         for part in text.split(","):
             if "=" not in part:
                 raise ValueError(
                     f"--synthetic-exec-cost expects a float or algo=seconds pairs, got {part!r}"
                 )
-            algo, value = part.split("=", 1)
-            algo = algo.strip()
+            algo, value = (s.strip() for s in part.split("=", 1))
             if algo not in ALGO_TAGS:
                 raise ValueError(f"unknown algorithm tag {algo!r} in --synthetic-exec-cost")
-            costs[algo] = float(value)
-        given = {f"{algo}={cost}": cost for algo, cost in costs.items()}
+            try:
+                cost = float(value)
+            except ValueError:
+                cost = math.nan  # named below with the other bad costs
+            given.append((algo, f"{algo}={value}", cost))
+        costs = {algo: cost for algo, _, cost in given}
     else:
+        given = [("", text, flat)]
         costs = dict.fromkeys(ALGO_TAGS, flat)
-        given = {text: flat}
-    bad = [label for label, cost in given.items() if not (math.isfinite(cost) and cost >= 0)]
-    if bad:
-        raise ValueError(
-            "--synthetic-exec-cost must be finite and non-negative, got " + ", ".join(bad)
-        )
+    tags = [algo for algo, _, _ in given]
+    faults = []
+    if repeated := [label for algo, label, _ in given if tags.count(algo) > 1]:
+        faults.append("takes each tag once, got " + ", ".join(repeated))
+    if bad := [label for _, label, cost in given if not (math.isfinite(cost) and cost >= 0)]:
+        faults.append("must be finite and non-negative, got " + ", ".join(bad))
+    if faults:
+        raise ValueError("--synthetic-exec-cost " + "; ".join(faults))
     return costs
 
 
 def _parse_int_list(flag: str, text: str) -> list[int]:
-    """A comma-separated list of integers; one error names the flag and
-    every entry that is not one."""
+    """A comma-separated list of non-negative integers; one error names
+    the flag and every entry that is not one."""
     values, bad = [], []
     for part in text.split(","):
         try:
             values.append(int(part))
         except ValueError:
             bad.append(part)
+        else:
+            if values[-1] < 0:
+                bad.append(part)
     if bad:
         raise ValueError(
-            f"{flag} expects comma-separated integers, got " + ", ".join(map(repr, bad))
+            f"{flag} expects comma-separated non-negative integers, got "
+            + ", ".join(map(repr, bad))
         )
     return values
 
 
-def _load_policies(paths: dict[str, str]) -> dict[str, object]:
-    from .rl.policy import load_policy
-
-    return {algo: load_policy(path) for algo, path in paths.items()}
+def _check_floors(*checks: tuple[str, int | None, int]) -> None:
+    """One error naming every ``(flag, value, floor)`` whose value is set
+    and below its floor, which is 1 (positive) or 0 (non-negative)."""
+    bad = [
+        f"{flag} must be {'positive' if floor else 'non-negative'}, got {value}"
+        for flag, value, floor in checks
+        if value is not None and value < floor
+    ]
+    if bad:
+        raise ValueError("; ".join(bad))
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
@@ -111,25 +128,15 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     return default_config()
 
 
-def _cmd_gen_trace(args: argparse.Namespace) -> int:
-    from .mobility import generate_trace, write_trace
-
-    config = _config_from(args)
-    trace = generate_trace(config.geometry, args.vehicles, args.seed)
-    write_trace(trace, args.out)
-    print(f"wrote {len(trace)} samples for {args.vehicles} vehicles to {args.out}")
-    return 0
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     from .rl.dqn import train_dqn
     from .rl.envs import OffloadEnv
     from .rl.policy import save_policy
     from .rl.ppo import train_ppo
 
-    for flag, value in (("--vehicles", args.vehicles), ("--episodes", args.episodes)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be positive, got {value}")
+    _check_floors(
+        ("--vehicles", args.vehicles, 1), ("--episodes", args.episodes, 1), ("--seed", args.seed, 0)
+    )
     config = _config_from(args)
     env = OffloadEnv(
         geometry=config.geometry,
@@ -159,6 +166,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _require_policies(algos: list[str], args: argparse.Namespace, default_algo=None):
+    from .rl.policy import load_policy
+
     policy_paths = _parse_policy_args(args.policy or [], default_algo)
     needed = [a for a in algos if a in ("dqn", "ppo")]
     missing = [a for a in needed if a not in policy_paths]
@@ -167,11 +176,12 @@ def _require_policies(algos: list[str], args: argparse.Namespace, default_algo=N
             f"algorithm(s) {', '.join(missing)} need a trained policy; "
             "pass --policy (algo=path for the matrix)"
         )
-    return _load_policies(policy_paths)
+    return {algo: load_policy(path) for algo, path in policy_paths.items()}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    _check_floors(("--vehicles", args.vehicles, 0), ("--seed", args.seed, 0))
     policies = _require_policies([args.algo], args, default_algo=args.algo)
     costs = _parse_cost_arg(args.synthetic_exec_cost)
     row, result = run_cell(
@@ -198,14 +208,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     config = _config_from(args)
     algos = args.algos.split(",") if args.algos else list(ALGO_TAGS)
-    policies = _require_policies(algos, args)
-    costs = _parse_cost_arg(args.synthetic_exec_cost)
     vehicle_counts = (
         _parse_int_list("--vehicles", args.vehicles)
         if args.vehicles
         else list(DEFAULT_VEHICLE_COUNTS)
     )
     seeds = _parse_int_list("--seeds", args.seeds) if args.seeds else list(DEFAULT_SEEDS)
+    policies = _require_policies(algos, args)
+    costs = _parse_cost_arg(args.synthetic_exec_cost)
     report = run_matrix(
         config,
         algos=algos,
@@ -239,18 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=1)
-
-    p = sub.add_parser("gen-trace", help="write a synthetic mobility trace CSV")
-    common(p)
-    p.add_argument("--vehicles", type=int, default=50)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_trace)
-
     p = sub.add_parser("train", help="train a scheduler policy")
-    common(p)
+    p.add_argument("--config", help="experiment config JSON")
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algo", choices=["dqn", "ppo"], required=True)
     p.add_argument("--vehicles", type=int, help="override the training density")
     p.add_argument("--episodes", type=int, help="override the episode budget")
@@ -259,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("run", help="one algorithm on one seeded trace")
-    common(p)
+    p.add_argument("--config", help="experiment config JSON")
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--algo", choices=list(ALGO_TAGS), required=True)
     p.add_argument("--vehicles", type=int, default=50)
     p.add_argument("--policy", action="append", help="policy JSON (RL algorithms)")
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("matrix", help="full comparison grid")
-    common(p)
+    p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--algos", help="comma-separated tags (default: all six)")
     p.add_argument("--vehicles", help="comma-separated densities (default: 50,100,200)")
     p.add_argument("--seeds", help="comma-separated seeds (default: 1..10)")

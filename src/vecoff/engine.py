@@ -147,12 +147,6 @@ def objective(result: EpisodeResult, lambda_weight: float) -> float:
     return _objective(result, lambda_weight, lat, result.num_dropped)
 
 
-def objective_normalized(result: EpisodeResult, lambda_weight: float) -> float:
-    """Objective with the latency sum scaled by N times the largest deadline."""
-    lat = math.fsum(t.e2e_latency for t in result.completed)
-    return _objective(result, lambda_weight, lat, result.num_dropped, normalized=True)
-
-
 def _objective(
     result: EpisodeResult, lambda_weight: float, latency_sum: float, drops: int, normalized=False
 ) -> float:

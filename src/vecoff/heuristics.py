@@ -86,34 +86,26 @@ class AssignmentPlan:
     objective: float
 
 
-def fcfs_select(window: DecisionWindow) -> int:
-    """Index of the earliest-arrived feasible task (ties: lowest id)."""
-    feas = window.feasible
-    if not feas:
-        raise ValueError("empty window")
-    return min(range(len(feas)), key=lambda i: (feas[i].arrival, feas[i].id))
-
-
-def sdf_select(window: DecisionWindow) -> int:
-    """Index of the feasible task with the soonest deadline (ties: lowest id)."""
-    feas = window.feasible
-    if not feas:
-        raise ValueError("empty window")
-    return min(range(len(feas)), key=lambda i: (feas[i].deadline, feas[i].id))
-
-
 class FcfsScheduler:
     name = "fcfs"
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
-        return fcfs_select(window)
+        """Index of the earliest-arrived feasible task (ties: lowest id)."""
+        feas = window.feasible
+        if not feas:
+            raise ValueError("empty window")
+        return min(range(len(feas)), key=lambda i: (feas[i].arrival, feas[i].id))
 
 
 class SdfScheduler:
     name = "sdf"
 
     def select(self, window: DecisionWindow, mecs: Sequence[MecState], now: float) -> int:
-        return sdf_select(window)
+        """Index of the feasible task with the soonest deadline (ties: lowest id)."""
+        feas = window.feasible
+        if not feas:
+            raise ValueError("empty window")
+        return min(range(len(feas)), key=lambda i: (feas[i].deadline, feas[i].id))
 
 
 class RandomScheduler:

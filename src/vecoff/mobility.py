@@ -16,7 +16,6 @@ field deployment.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +33,8 @@ class Trace:
     """A floating-car trace as columns, one entry per sample.
 
     ``generate_trace`` emits the samples grouped by vehicle in time order;
-    an ingested file keeps its row order, which may interleave vehicles.
+    a trace built by hand may interleave vehicles, and ``coverage`` groups
+    them.
     ``len`` counts samples, and two traces are equal when every column is.
     """
 
@@ -164,64 +164,6 @@ def generate_trace(geom: ScenarioGeometry, n_vehicles: int, seed: int) -> Trace:
         y=((vid % geom.lanes) + 0.5) * LANE_WIDTH_M,
         speed=speeds[vid],
     )
-
-
-def write_trace(trace: Trace, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        columns = [getattr(trace, name).tolist() for name in TRACE_HEADER]
-        for t, vid, x, y, speed in zip(*columns):
-            writer.writerow([repr(t), vid, repr(x), repr(y), repr(speed)])
-
-
-def ingest_trace(path: str) -> Trace:
-    """Read a trace CSV, validating as it goes.
-
-    A zero-byte or header-only file yields an empty trace. Malformed rows,
-    non-finite numbers, negative speeds, vehicle ids beyond 64 bits, and
-    non-monotonic per-vehicle timestamps raise ValueError naming the
-    offending line.
-    """
-    rows: list[tuple[float, int, float, float, float]] = []
-    last_time: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and [c.strip() for c in header] != TRACE_HEADER:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(TRACE_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRACE_HEADER):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(TRACE_HEADER)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                t = float(row[0])
-                vid = int(row[1])
-                x = float(row[2])
-                y = float(row[3])
-                speed = float(row[4])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed row: {exc}") from None
-            if not all(map(math.isfinite, (t, x, y, speed))):
-                raise ValueError(f"{path}: line {lineno}: non-finite number in {','.join(row)}")
-            if speed < 0:
-                raise ValueError(f"{path}: line {lineno}: negative speed {speed}")
-            if not -(2**63) <= vid < 2**63:
-                raise ValueError(f"{path}: line {lineno}: vehicle id {vid} exceeds 64 bits")
-            if vid in last_time and t <= last_time[vid]:
-                raise ValueError(
-                    f"{path}: line {lineno}: time {t} not increasing for vehicle {vid}"
-                )
-            last_time[vid] = t
-            rows.append((t, vid, x, y, speed))
-    return Trace(*(list(zip(*rows)) or [()] * len(TRACE_HEADER)))
 
 
 def coverage(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from vecoff.cli import _parse_cost_arg, _parse_policy_args, main
 from vecoff.config import default_config, save_config
 from vecoff.experiments import ALGO_TAGS, CSV_COLUMNS, MetricsReport
 from vecoff.heuristics import PsoParams
-from vecoff.mobility import ingest_trace
 from vecoff.rl.encoding import EncoderSpec
 from vecoff.rl.nets import Mlp
 from vecoff.rl.policy import Policy, save_policy
@@ -64,15 +64,9 @@ class TestArgHelpers:
 
 
 class TestGenTrace:
-    def test_writes_a_deterministic_trace(self, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert main(["gen-trace", "--vehicles", "5", "--seed", "3", "--out", str(a)]) == 0
-        assert main(["gen-trace", "--vehicles", "5", "--seed", "3", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        trace = ingest_trace(str(a))
-        assert set(trace.vehicle_id.tolist()) == set(range(5))
-        assert "wrote" in capsys.readouterr().out
+    """A bad config file fails the command that loads it. The class keeps
+    the name of the retired ``gen-trace`` command, which these cases ran
+    first, so their ids stay the same."""
 
     @pytest.mark.parametrize("section, body", [
         ("geometry", {"lane": 3}),
@@ -85,8 +79,8 @@ class TestGenTrace:
         bad.write_text(json.dumps({section: body}))
         src = os.path.dirname(os.path.dirname(vecoff.__file__))
         proc = subprocess.run(
-            [sys.executable, "-m", "vecoff.cli", "gen-trace", "--config", str(bad),
-             "--out", str(tmp_path / "t.csv")],
+            [sys.executable, "-m", "vecoff.cli", "run", "--algo", "fcfs", "--config", str(bad),
+             "--out", str(tmp_path / "r.csv")],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -145,17 +139,26 @@ class TestRun:
         assert "dqn" in err
 
     @pytest.mark.parametrize("argv, bad", [
-        (["run", "--algo", "fcfs", "--vehicles", "100", "--synthetic-exec-cost=nan"], "nan"),
-        (["run", "--algo", "fcfs", "--vehicles", "100", "--synthetic-exec-cost=-1"], "-1"),
-        (["run", "--algo", "fcfs", "--vehicles", "100", "--synthetic-exec-cost=inf"], "inf"),
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--seed", "1",
+          "--synthetic-exec-cost=nan"], "nan"),
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--seed", "1",
+          "--synthetic-exec-cost=-1"], "-1"),
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--seed", "1",
+          "--synthetic-exec-cost=inf"], "inf"),
         (["matrix", "--algos", "fcfs,sdf", "--vehicles", "50", "--seeds", "1",
           "--synthetic-exec-cost", "sdf=0,fcfs=nan"], "fcfs=nan"),
-    ], ids=["run-nan", "run-negative", "run-inf", "matrix-nan-pair"])
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--seed", "1",
+          "--synthetic-exec-cost", "fcfs=abc"], "fcfs=abc"),
+        (["matrix", "--algos", "fcfs,sdf", "--vehicles", "50", "--seeds", "1",
+          "--synthetic-exec-cost", "sdf=x,fcfs=-2,dqn=0"], "sdf=x, fcfs=-2"),
+        (["run", "--algo", "fcfs", "--vehicles", "100", "--seed", "1",
+          "--synthetic-exec-cost", "fcfs=1,sdf=0,fcfs=2"], "fcfs=1, fcfs=2"),
+    ], ids=["run-nan", "run-negative", "run-inf", "matrix-nan-pair", "run-not-a-number",
+            "matrix-every-bad-pair", "run-repeated-tag"])
     def test_bad_synthetic_cost_is_named(self, tmp_path, argv, bad):
         src = os.path.dirname(os.path.dirname(vecoff.__file__))
         proc = subprocess.run(
-            [sys.executable, "-m", "vecoff.cli", *argv, "--seed", "1",
-             "--out", str(tmp_path / "r.csv")],
+            [sys.executable, "-m", "vecoff.cli", *argv, "--out", str(tmp_path / "r.csv")],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -163,6 +166,20 @@ class TestRun:
         assert proc.stderr.startswith("error: --synthetic-exec-cost ")
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.rstrip().endswith(f"got {bad}")
+
+    @pytest.mark.parametrize("argv, fault", [
+        (["run", "--algo", "fcfs", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["run", "--algo", "fcfs", "--vehicles", "-5"], "--vehicles must be non-negative, got -5"),
+        (["run", "--algo", "fcfs", "--vehicles", "-5", "--seed", "-2"],
+         "--vehicles must be non-negative, got -5; --seed must be non-negative, got -2"),
+        (["train", "--algo", "dqn", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    ], ids=["run-seed", "run-vehicles", "run-both", "train-seed"])
+    def test_negative_number_is_named_by_its_flag(self, tmp_path, capsys, argv, fault):
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {fault}\n"
+        assert not out.exists()
 
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -320,6 +337,14 @@ class TestMatrixAndExport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / fault}") and err.count("\n") == 1, err
 
+    def test_matrix_reads_a_lone_seed_as_its_seed_list(self, tmp_path):
+        # matrix has no --seed of its own, so argparse takes it for --seeds
+        out = tmp_path / "r.csv"
+        code = main(["matrix", "--algos", "fcfs", "--vehicles", "20", "--seed", "5",
+                     "--synthetic-exec-cost", "0", "--out", str(out)])
+        assert code == 0
+        assert [row.seed for row in MetricsReport.from_csv(str(out)).rows] == [5]
+
     def test_matrix_rl_needs_policies(self, tmp_path, capsys):
         code = main([
             "matrix", "--algos", "fcfs,dqn", "--vehicles", "20", "--seeds", "1",
@@ -331,13 +356,19 @@ class TestMatrixAndExport:
     @pytest.mark.parametrize("flag, value, bad", [
         ("--vehicles", "50,x", "'x'"),
         ("--seeds", "1,,2.5", "'', '2.5'"),
+        ("--vehicles", "200,-5", "'-5'"),
+        ("--seeds", "-1", "'-1'"),
+        ("--seeds", "3,-1,y", "'-1', 'y'"),
     ])
     def test_non_integer_list_entry_is_named(self, tmp_path, capsys, flag, value, bad):
         out = tmp_path / "r.csv"
-        code = main(["matrix", "--algos", "fcfs", flag, value, "--out", str(out)])
+        # a bad number fails before the grid starts: a check inside it
+        # would first run every cell of the good densities
+        with mock.patch("vecoff.cli.run_matrix", side_effect=AssertionError("grid ran")):
+            code = main(["matrix", "--algos", "fcfs", flag, value, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: {flag} expects comma-separated integers, got {bad}\n"
+        assert err == f"error: {flag} expects comma-separated non-negative integers, got {bad}\n"
         assert not out.exists()
 
     def test_repeated_seed_fails_before_any_row(self, tmp_path, capsys):

@@ -169,8 +169,8 @@ def test_section_that_is_not_an_object_is_rejected(tmp_path, section):
       "dqn: target_sync", "dqn: eval_episodes", "ppo: hidden", "ppo: minibatch", "ppo: epochs"]),
 ], ids=["episodes-and-gamma", "hidden-not-int", "bools-and-strings", "two-sections"])
 def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
-    code = main(["gen-trace", "--config", write_json(tmp_path, doc),
-                 "--out", str(tmp_path / "trace.csv")])
+    code = main(["run", "--algo", "fcfs", "--config", write_json(tmp_path, doc),
+                 "--out", str(tmp_path / "r.csv")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -211,8 +211,8 @@ def test_every_trainer_fault_is_named(tmp_path, capsys, doc, faults):
         "dqn-eval-every-negative", "ppo-eval-every-negative", "dqn-lr-zero", "dqn-lr-negative",
         "ppo-lr-actor-zero", "ppo-lr-critic-negative", "dqn-warmup-negative"])
 def test_mistyped_value_is_named_with_its_field(tmp_path, capsys, doc, fault):
-    code = main(["gen-trace", "--config", write_json(tmp_path, doc),
-                 "--out", str(tmp_path / "trace.csv")])
+    code = main(["run", "--algo", "fcfs", "--config", write_json(tmp_path, doc),
+                 "--out", str(tmp_path / "r.csv")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fault}") and err.count("\n") == 1, err

@@ -7,7 +7,7 @@ import pytest
 from vecoff import engine, heuristics
 from vecoff.config import default_config
 from vecoff.domain import ChannelParams, SimConfig
-from vecoff.engine import objective, objective_normalized, prepare_episode
+from vecoff.engine import objective, prepare_episode
 from vecoff.experiments import (
     ALGO_TAGS,
     CSV_COLUMNS,
@@ -61,11 +61,12 @@ class TestObjective:
     def test_empty_result_scores_zero(self):
         result = replay_ordering([], (), 1)
         assert objective(result, 0.4) == 0.0
-        assert objective_normalized(result, 0.4) == 0.0
+        assert RunRow.from_result("fcfs", 0, "1", 1, result, 0.4).objective_normalized == 0.0
 
     def test_normalized_divides_by_horizon(self):
         result = one_task_result()  # deadline 30, one task
-        assert math.isclose(objective_normalized(result, 0.4), 0.4 * 10.0 / 30.0)
+        row = RunRow.from_result("fcfs", 1, "1", 1, result, 0.4)
+        assert math.isclose(row.objective_normalized, 0.4 * 10.0 / 30.0)
 
 
 class TestRunRow:
@@ -80,7 +81,10 @@ class TestRunRow:
         row, result = run_cell(cfg, "fcfs", 200, "1", seed=3, synthetic_costs={"fcfs": 0.0})
         assert result.num_dropped > 0
         assert row.objective == objective(result, 0.4)
-        assert row.objective_normalized == objective_normalized(result, 0.4)
+        n, drops = result.num_tasks, result.num_dropped
+        lat = math.fsum(t.e2e_latency for t in result.completed)
+        horizon = n * max(t.deadline for t in result.tasks)
+        assert row.objective_normalized == 0.4 * lat / horizon + (1.0 - 0.4) * drops / n
         assert row.drop_ratio == result.num_dropped / result.num_tasks
 
     def test_log10_of_per_window_cost(self):

@@ -18,13 +18,11 @@ from vecoff.heuristics import (
     SdfScheduler,
     brute_force_oracle,
     decode_priorities,
-    fcfs_select,
     induced_ordering,
     prepare_tasks,
     pso_optimize_static,
     replay_cost,
     replay_ordering,
-    sdf_select,
     swarm_search,
     _columns,
     _ordering_to_position,
@@ -51,14 +49,14 @@ class TestQueueDisciplines:
             make_task(1, arrival=3.0, proc=1.0, remaining=20.0, comm=0.1),
             make_task(2, arrival=4.0, proc=1.0, remaining=20.0, comm=0.1),
         ]
-        assert fcfs_select(window_of(tasks)) == 1
+        assert FcfsScheduler().select(window_of(tasks), [], 0.0) == 1
 
     def test_fcfs_arrival_tie_takes_lowest_id(self):
         tasks = [
             make_task(3, arrival=2.0, proc=1.0, remaining=20.0, comm=0.1),
             make_task(1, arrival=2.0, proc=1.0, remaining=20.0, comm=0.1),
         ]
-        assert fcfs_select(window_of(tasks)) == 1
+        assert FcfsScheduler().select(window_of(tasks), [], 0.0) == 1
 
     def test_sdf_picks_soonest_deadline(self):
         tasks = [
@@ -66,7 +64,7 @@ class TestQueueDisciplines:
             make_task(1, arrival=0.0, proc=1.0, remaining=12.0, comm=0.1),
             make_task(2, arrival=0.0, proc=1.0, remaining=15.0, comm=0.1),
         ]
-        assert sdf_select(window_of(tasks)) == 1
+        assert SdfScheduler().select(window_of(tasks), [], 0.0) == 1
 
     def test_sdf_and_fcfs_can_disagree(self):
         tasks = [
@@ -74,15 +72,15 @@ class TestQueueDisciplines:
             make_task(1, arrival=1.0, proc=1.0, remaining=4.0, comm=0.1),
         ]
         w = window_of(tasks)
-        assert fcfs_select(w) == 0
-        assert sdf_select(w) == 1
+        assert FcfsScheduler().select(w, [], 0.0) == 0
+        assert SdfScheduler().select(w, [], 0.0) == 1
 
     def test_empty_window_rejected(self):
         empty = DecisionWindow(index=1, queued=[], feasible=[], earliest_avail=0.0)
         with pytest.raises(ValueError):
-            fcfs_select(empty)
+            FcfsScheduler().select(empty, [], 0.0)
         with pytest.raises(ValueError):
-            sdf_select(empty)
+            SdfScheduler().select(empty, [], 0.0)
 
     def test_scheduler_wrappers_expose_names(self):
         assert FcfsScheduler().name == "fcfs"

@@ -1,10 +1,14 @@
 """Every name a vecoff module imports is read, exported or allow-listed,
+every function and class it defines is run by the package or listed,
 and a module loads only what it imports.
 
 The scan reads each module under ``src/vecoff`` with ``ast``. A name an
 import binds passes when the module reads it somewhere (annotations
 count, string annotations included), lists it in ``__all__``, or when it
 is on ``ALLOWED``: deliberate re-exports with no ``__all__`` to name them.
+A top-level function or class passes when another top-level statement of
+the package loads it, by name or as an attribute, or when ``UNREAD``
+gives the reason it stays: code only tests call belongs in the tests.
 The packages re-export nothing, so importing one module must not load
 the rest; fresh interpreters check that.
 """
@@ -23,6 +27,16 @@ MODULES = sorted(SRC.rglob("*.py"))
 
 # (module path relative to src/vecoff, imported name)
 ALLOWED: set[tuple[str, str]] = set()
+
+# (module path relative to src/vecoff, top-level name): why nothing in
+# src/ runs it and it stays there
+UNREAD: dict[tuple[str, str], str] = {
+    ("config.py", "cross_validate"): "perfbench/bench.py checks its configs with it",
+    ("config.py", "save_config"): "the README's documented way to write a config",
+    ("heuristics.py", "RandomScheduler"): "gate 11 fuzzes the engine with it",
+    ("heuristics.py", "brute_force_oracle"): "gate 01 bounds the swarm by it",
+    ("rl/envs.py", "ToyTwoActionEnv"): "gate 07 checks the learning signal on it",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -108,6 +122,59 @@ def test_scan_sees_through_exports_and_annotations():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == [("os", 2), ("Dead", 4)]
+
+
+def _defined(tree: ast.Module) -> list[ast.stmt]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in tree.body if isinstance(node, kinds)]
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    """Names ``node`` reads, and the attributes it reads off anything."""
+    attrs = (n for n in ast.walk(node) if isinstance(n, ast.Attribute))
+    return _read(node) | {n.attr for n in attrs if isinstance(n.ctx, ast.Load)}
+
+
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each top-level function or class in ``sources``
+    (module path to text) that no other top-level statement loads."""
+    trees = {rel: ast.parse(source) for rel, source in sources.items()}
+    loads = [(stmt, _loaded(stmt)) for tree in trees.values() for stmt in tree.body]
+    return sorted(
+        (rel, node.name)
+        for rel, tree in trees.items()
+        for node in _defined(tree)
+        if not any(node.name in names for stmt, names in loads if stmt is not node)
+    )
+
+
+PACKAGE = {path.relative_to(SRC).as_posix(): path.read_text() for path in MODULES}
+
+
+def test_src_defines_only_what_it_runs():
+    assert [d for d in unread_definitions(PACKAGE) if d not in UNREAD] == []
+
+
+def test_unread_list_holds_only_unread_definitions():
+    unread = unread_definitions(PACKAGE)
+    for rel, name in UNREAD:
+        defined = [node.name for node in _defined(ast.parse(PACKAGE[rel]))]
+        assert name in defined, f"{rel} no longer defines {name}"
+        assert (rel, name) in unread, f"src/ runs {rel} {name}: unlist it"
+
+
+def test_definition_scan_sees_attributes_and_annotations():
+    sources = {
+        "a.py": (
+            "class Attr: pass\n"
+            "class Ann: pass\n"
+            "def used(): return 1\n"
+            "def dead(): return used()\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+        ),
+        "b.py": "from . import a\ndef f(x: 'Ann'):\n    return a.Attr\nf(0)\n",
+    }
+    assert unread_definitions(sources) == [("a.py", "dead"), ("a.py", "recursive")]
 
 
 def modules_loaded_by(module: str) -> list[str]:

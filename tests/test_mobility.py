@@ -19,9 +19,7 @@ from vecoff.mobility import (
     WorkloadModel,
     coverage,
     generate_trace,
-    ingest_trace,
     spawn_tasks,
-    write_trace,
 )
 
 
@@ -70,86 +68,6 @@ class TestGenerateTrace:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(ScenarioGeometry(), -1, seed=0)
-
-
-class TestTraceIO:
-    def test_write_then_ingest_is_identity(self, tmp_path):
-        geom = ScenarioGeometry()
-        samples = generate_trace(geom, 5, seed=11)
-        path = tmp_path / "trace.csv"
-        write_trace(samples, str(path))
-        assert ingest_trace(str(path)) == samples
-
-    def test_ingest_three_rows(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            "time,vehicle_id,x,y,speed\n"
-            "0.0,0,0.0,1.75,25.0\n"
-            "1.0,0,25.0,1.75,25.0\n"
-            "0.5,1,0.0,5.25,22.0\n"
-        )
-        trace = ingest_trace(str(path))
-        assert len(trace) == 3
-        assert [getattr(trace, n)[2] for n in TRACE_HEADER] == [0.5, 1, 0.0, 5.25, 22.0]
-
-    def test_negative_speed_names_line(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            "time,vehicle_id,x,y,speed\n"
-            "0.0,0,0.0,1.75,25.0\n"
-            "1.0,0,25.0,1.75,-3.0\n"
-        )
-        with pytest.raises(ValueError, match="line 3"):
-            ingest_trace(str(path))
-
-    @pytest.mark.parametrize("row", ["nan,0,25.0,1.75,25.0", "1.0,0,inf,1.75,25.0"])
-    def test_non_finite_value_names_line(self, tmp_path, row):
-        path = tmp_path / "t.csv"
-        path.write_text("time,vehicle_id,x,y,speed\n0.0,0,0.0,1.75,25.0\n" + row + "\n")
-        with pytest.raises(ValueError, match="line 3: non-finite"):
-            ingest_trace(str(path))
-
-    def test_vehicle_id_beyond_64_bits_names_line(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            "time,vehicle_id,x,y,speed\n"
-            "0.0,0,0.0,1.75,25.0\n"
-            f"0.0,{2**63},0.0,1.75,25.0\n"
-        )
-        with pytest.raises(ValueError, match="line 3: vehicle id"):
-            ingest_trace(str(path))
-
-    def test_empty_file_is_empty_trace(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("")
-        assert len(ingest_trace(str(path))) == 0
-
-    def test_header_only_is_empty_trace(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("time,vehicle_id,x,y,speed\n")
-        assert len(ingest_trace(str(path))) == 0
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("t,v,x,y,s\n0.0,0,0.0,0.0,1.0\n")
-        with pytest.raises(ValueError, match="line 1"):
-            ingest_trace(str(path))
-
-    def test_short_row_names_line(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("time,vehicle_id,x,y,speed\n0.0,0,0.0\n")
-        with pytest.raises(ValueError, match="line 2"):
-            ingest_trace(str(path))
-
-    def test_time_must_increase_per_vehicle(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            "time,vehicle_id,x,y,speed\n"
-            "1.0,0,25.0,0.0,25.0\n"
-            "1.0,0,25.0,0.0,25.0\n"
-        )
-        with pytest.raises(ValueError, match="not increasing"):
-            ingest_trace(str(path))
 
 
 class TestCoverageGeometry:
