@@ -358,20 +358,25 @@ def episode_loop(
 class PreparedEpisode:
     """A task list made ready to simulate, once.
 
-    ``tasks`` are pending tasks in (arrival, id) order with comm times
-    attached, and ``bandwidth_events`` is the sharing log that attaching
-    them wrote (empty when its holder keeps none). Both are read-only:
-    ``run_episode`` simulates fresh copies of the tasks and hands each
-    result the log, so one preparation serves every run on the list.
+    ``tasks`` are pending tasks in id order with comm times attached, and
+    ``bandwidth_events`` is the sharing log that attaching them wrote
+    (empty when its holder keeps none). Both are read-only: every run,
+    replay and search on the list reads them, and a task's position is
+    its index in ``tasks``.
     """
 
     tasks: tuple[Task, ...]
     bandwidth_events: tuple[BandwidthEvent, ...]
 
 
-def prepare_episode(tasks: Sequence[Task], channel_params) -> PreparedEpisode:
-    """Copy ``tasks`` in (arrival, id) order and attach their comm times."""
-    work = [t.copy() for t in sorted(tasks, key=lambda t: (t.arrival, t.id))]
+def prepare_episode(
+    tasks: Sequence[Task] | PreparedEpisode, channel_params
+) -> PreparedEpisode:
+    """The one preparation of an episode: a ``PreparedEpisode`` as it is,
+    or copies of ``tasks`` in id order with their comm times attached."""
+    if isinstance(tasks, PreparedEpisode):
+        return tasks
+    work = [t.copy() for t in sorted(tasks, key=lambda t: t.id)]
     events = attach_comm_times(work, channel_params)
     return PreparedEpisode(tuple(work), tuple(events))
 
@@ -385,21 +390,17 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one episode under ``scheduler``.
 
-    ``tasks`` is a task list, which is copied and given comm times under
-    ``channel_params``, or a ``PreparedEpisode``, whose copies are
-    simulated as they are. Either way the input is left untouched, so a
-    task list can be replayed under many schedulers. Each scheduler
-    invocation is timed with a wall clock; ``exec_cost``, when given,
-    replaces the measured duration with a fixed synthetic cost so runs
-    become exactly reproducible. With ``cfg.charge_exec_time`` false the
-    result is a pure function of (tasks, scheduler decisions).
+    ``tasks`` goes through ``prepare_episode`` and the engine runs on
+    copies of the preparation's tasks, so the input is left untouched
+    and one list can be replayed under many schedulers; the result lists
+    the tasks in the preparation's order. Each scheduler invocation is
+    timed with a wall clock; ``exec_cost``, when given, replaces the
+    measured duration with a fixed synthetic cost so runs become exactly
+    reproducible. With ``cfg.charge_exec_time`` false the result is a
+    pure function of (tasks, scheduler decisions).
     """
-    if isinstance(tasks, PreparedEpisode):
-        work = [t.copy() for t in tasks.tasks]
-    else:
-        tasks = prepare_episode(tasks, channel_params)
-        work = list(tasks.tasks)  # a preparation no one else holds
-    loop = episode_loop(work, cfg)
+    prepared = prepare_episode(tasks, channel_params)
+    loop = episode_loop([t.copy() for t in prepared.tasks], cfg)
     try:
         point = next(loop)
         while True:
@@ -410,5 +411,5 @@ def run_episode(
             point = loop.send((choice, duration))
     except StopIteration as stop:
         result: EpisodeResult = stop.value
-    result.bandwidth_events = list(tasks.bandwidth_events)
+    result.bandwidth_events = list(prepared.bandwidth_events)
     return result

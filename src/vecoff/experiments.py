@@ -21,13 +21,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence, get_type_hints
 
 from . import heuristics
-from .engine import (
-    EpisodeResult,
-    PreparedEpisode,
-    _objective,
-    prepare_episode,
-    run_episode,
-)
+from .engine import EpisodeResult, _objective, prepare_episode, run_episode
 from .mobility import episode_seeds, generate_trace, spawn_tasks
 from .rl.encoding import PolicyContractError
 from .rl.policy import PolicyScheduler
@@ -300,25 +294,25 @@ def run_cell(
     uncharged; its reported execution time is its optimization wall-clock
     (or the map's value, read as a total, in synthetic mode).
     ``tasks`` is the run's task list or its ``PreparedEpisode``; when it
-    is None the list is built from the seed. ``seed_orderings``
-    warm-starts the offline swarm and is ignored by the online algorithms.
+    is None the list is built from the seed. It is prepared once, and
+    every algorithm reads that preparation: the online ones run on it,
+    the offline swarm searches its positions and replays its plan on it.
+    ``seed_orderings`` warm-starts the offline swarm and is ignored by
+    the online algorithms.
     """
     sim = config.sim
     if tasks is None:
         _, tasks = build_episode_tasks(config, vehicles, seed)
+    episode = prepare_episode(tasks, config.channel)
 
     if algo == "off-sta-pso":
-        # the swarm and the replay of its plan read one preparation
-        if not isinstance(tasks, PreparedEpisode):
-            tasks = prepare_episode(tasks, config.channel)
         t0 = time.perf_counter()
         plan = heuristics.pso_optimize_static(
-            tasks, sim, config.channel, config.pso, seed,
+            episode, sim, config.channel, config.pso, seed,
             seed_orderings=seed_orderings,
         )
         wall = time.perf_counter() - t0
-        base = heuristics.prepare_tasks(tasks, config.channel)
-        result = heuristics.replay_ordering(base, plan.ordering, sim.num_mecs)
+        result = heuristics.replay_ordering(episode.tasks, plan.ordering, sim.num_mecs)
         if synthetic_costs is None:
             total_exec = wall
         else:
@@ -330,7 +324,7 @@ def run_cell(
 
     scheduler = make_scheduler(algo, config, seed, policies)
     exec_cost = None if synthetic_costs is None else synthetic_costs.get(algo, 0.0)
-    result = run_episode(tasks, scheduler, sim, config.channel, exec_cost=exec_cost)
+    result = run_episode(episode, scheduler, sim, config.channel, exec_cost=exec_cost)
     row = RunRow.from_result(algo, vehicles, run, seed, result, sim.lambda_weight)
     return row, result
 
@@ -351,7 +345,8 @@ def run_matrix(
     optimizer runs after the online algorithms of its column and
     warm-starts its swarm with the schedules they actually executed,
     which pins it to its role as the performance bound: it can only
-    improve on them. Repeated tags, densities or seeds are rejected.
+    improve on them. Repeated tags, densities or seeds are rejected, and
+    so is an empty seed list, which leaves a cell no row to average.
     """
     for algo in algos:
         if algo not in ALGO_TAGS:
@@ -365,6 +360,8 @@ def run_matrix(
     ]
     if repeats:
         raise ValueError("repeated " + "; repeated ".join(repeats))
+    if not seeds:
+        raise ValueError("no seeds: every cell needs at least one seeded run")
     report = MetricsReport()
     ordered = [a for a in algos if a != "off-sta-pso"] + [
         a for a in algos if a == "off-sta-pso"

@@ -53,6 +53,7 @@ from .engine import (
     assign,
     earliest_availability,
     objective,
+    prepare_episode,
     slack,
 )
 
@@ -148,22 +149,19 @@ def induced_ordering(result: EpisodeResult) -> tuple[int, ...]:
 
     Completed tasks sort by processing start (ties by id); dropped tasks
     go last, where a replay will drop them again since availability only
-    ever grows. Positions index the id-sorted task list, the same space
-    ``prepare_tasks`` and the replays use.
+    ever grows. Positions index ``result.tasks``, which lists the tasks
+    of the episode's preparation in its order, the order replays read.
     """
-    rank = {t.id: r for r, t in enumerate(sorted(result.tasks, key=lambda t: t.id))}
     completed = []
     dropped = []
-    for t in result.tasks:
+    for pos, t in enumerate(result.tasks):
         if t.status is _COMPLETED:
-            completed.append((t.start_proc, t.id))
+            completed.append((t.start_proc, t.id, pos))
         else:
-            dropped.append((t.deadline, t.id))
+            dropped.append((t.deadline, t.id, pos))
     completed.sort()
     dropped.sort()
-    return tuple(rank[tid] for _, tid in completed) + tuple(
-        rank[tid] for _, tid in dropped
-    )
+    return tuple(pos for *_, pos in completed + dropped)
 
 
 def decode_priorities(x: np.ndarray) -> list[tuple[int, ...]]:
@@ -197,7 +195,7 @@ def brute_force_oracle(
         raise ValueError(
             f"{len(tasks)} tasks exceeds the exhaustive-search limit of {max_tasks}"
         )
-    base = prepare_tasks(tasks, params)
+    base = prepare_episode(tasks, params).tasks
     best_val = math.inf
     best_ord: tuple[int, ...] = ()
     # an empty task list still yields one (empty) permutation
@@ -206,18 +204,6 @@ def brute_force_oracle(
         if val < best_val:
             best_val, best_ord = val, perm
     return AssignmentPlan(ordering=best_ord, objective=best_val)
-
-
-def prepare_tasks(
-    tasks: Sequence[Task] | PreparedEpisode, params: ChannelParams
-) -> list[Task]:
-    """The tasks in id order with comm times attached, to be read, not
-    mutated: a prepared episode's own tasks, or copies of plain ones."""
-    if isinstance(tasks, PreparedEpisode):
-        return sorted(tasks.tasks, key=lambda t: t.id)
-    base = [t.copy() for t in sorted(tasks, key=lambda t: t.id)]
-    attach_comm_times(base, params)
-    return base
 
 
 def replay_cost(
@@ -360,10 +346,11 @@ def pso_optimize_static(
     arrival-order particle and a deadline-order particle, plus any
     caller-provided ``seed_orderings`` (permutations of the task
     positions), so the search never finishes worse than those replays.
-    ``tasks`` may be a ``PreparedEpisode``, whose comm times it reads as
-    they are. Returns the best plan ever evaluated.
+    Positions index the tasks of ``prepare_episode(tasks, params)``, in
+    id order; a ``PreparedEpisode`` is read as it is. Returns the best
+    plan ever evaluated.
     """
-    base = prepare_tasks(tasks, params)
+    base = prepare_episode(tasks, params).tasks
     n = len(base)
     for ordering in seed_orderings:
         _check_permutation(ordering, n)

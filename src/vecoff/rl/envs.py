@@ -82,26 +82,21 @@ class OffloadEnv:
         self.last_result: EpisodeResult | None = None
 
     def _draw_playable(
-        self, rng: np.random.Generator, prepare: bool = False
-    ) -> tuple[list[Task] | PreparedEpisode, Generator, DecisionPoint]:
-        """The next draw of ``rng``'s stream that reaches a decision window,
-        and the engine paused at that window: the drawn tasks, comm times
-        attached, with the engine running on them, or, ``prepare``, the
-        draw's ``PreparedEpisode`` with the engine running on copies."""
+        self, rng: np.random.Generator
+    ) -> tuple[PreparedEpisode, Generator, DecisionPoint]:
+        """The next draw of ``rng``'s stream that reaches a decision window:
+        its ``PreparedEpisode``, and the engine paused at that window,
+        running on copies of the preparation's tasks."""
         for _ in range(MAX_REDRAWS):
             trace_seed, task_seed = episode_seeds(int(rng.integers(0, 2**31 - 1)))
             trace = generate_trace(self.geometry, self.vehicles, trace_seed)
             tasks = spawn_tasks(
                 trace, self.geometry, self.workload, self.sim.tasks_per_vehicle, task_seed
             )
-            if prepare:
-                tasks = prepare_episode(tasks, self.channel)
-                loop = episode_loop([t.copy() for t in tasks.tasks], self.sim)
-            else:
-                attach_comm_times(tasks, self.channel)
-                loop = episode_loop(tasks, self.sim)
+            episode = prepare_episode(tasks, self.channel)
+            loop = episode_loop([t.copy() for t in episode.tasks], self.sim)
             try:
-                return tasks, loop, next(loop)
+                return episode, loop, next(loop)
             except StopIteration:
                 # ran to completion without ever consulting a scheduler
                 continue
@@ -152,7 +147,7 @@ class OffloadEnv:
         objective is the quantity schedulers actually compete on.
         """
         while len(self._held_out) < episodes:
-            episode, _, _ = self._draw_playable(self._held_out_rng, prepare=True)
+            episode, _, _ = self._draw_playable(self._held_out_rng)
             # only objectives are read, so the set keeps no sharing log
             # (about 0.27 MB per env at 100 vehicles)
             self._held_out.append(PreparedEpisode(episode.tasks, ()))

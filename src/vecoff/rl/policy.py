@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..domain import MecState
+from ..domain import MecState, dumps
 from ..engine import DecisionWindow
 from .encoding import EncoderSpec, encode_state
 from .nets import Mlp
@@ -144,8 +144,7 @@ def policy_from_dict(d: Mapping[str, Any]) -> Policy:
 
 def save_policy(policy: Policy, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(policy_to_dict(policy), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(dumps(policy_to_dict(policy)))
 
 
 def load_policy(path: str) -> Policy:

@@ -13,6 +13,7 @@ from vecoff.engine import (
     earliest_availability,
     episode_loop,
     is_feasible_at,
+    prepare_episode,
     run_episode,
     slack,
 )
@@ -312,6 +313,29 @@ class TestRunEpisode:
         tasks = make_task_set(rng, 6)
         run(tasks, FcfsScheduler(), sim2)
         assert all(t.status is TaskStatus.PENDING for t in tasks)
+
+
+class TestPrepareEpisode:
+    def test_a_preparation_comes_back_as_it_is(self, rng):
+        prepared = prepare_episode(make_task_set(rng, 5), ChannelParams())
+        assert prepare_episode(prepared, ChannelParams()) is prepared
+
+    def test_a_list_comes_back_in_id_order_with_comm_times(self):
+        # ids out of arrival order: the later arrival holds the lower id
+        tasks = [
+            make_task(2, arrival=0.0, proc=1.0, remaining=20.0, size=SIZE_QUARTER_S),
+            make_task(0, arrival=3.0, proc=1.0, remaining=20.0, size=SIZE_QUARTER_S),
+            make_task(1, arrival=1.0, proc=1.0, remaining=20.0, size=SIZE_QUARTER_S),
+        ]
+        before = [t.to_dict() for t in tasks]
+        prepared = prepare_episode(tasks, ChannelParams())
+        assert [t.id for t in prepared.tasks] == [0, 1, 2]
+        assert [t.arrival for t in prepared.tasks] == [3.0, 1.0, 0.0]
+        # each transmits alone on the band
+        assert [t.comm_time for t in prepared.tasks] == [0.25, 0.25, 0.25]
+        assert all(t.status is TaskStatus.PENDING for t in prepared.tasks)
+        assert [t.to_dict() for t in tasks] == before
+        assert not any(p is t for p in prepared.tasks for t in tasks)
 
 
 class TestEngineContract:

@@ -252,6 +252,10 @@ class TestMatrix:
             "repeated algorithm tags 'fcfs'; repeated densities 20; repeated seeds 1, 2"
         )
 
+    def test_an_empty_seed_list_is_named(self):
+        with pytest.raises(ValueError, match="no seeds"):
+            run_matrix(small_config(), algos=("fcfs",), vehicle_counts=(20,), seeds=())
+
     def test_each_column_is_prepared_once(self, monkeypatch):
         attaches = []
         for module in (engine, heuristics):

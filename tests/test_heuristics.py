@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vecoff import heuristics
 from vecoff.config import config_from_dict, section_to_dict
 from vecoff.domain import ChannelParams, MecState, SimConfig, TaskStatus
-from vecoff.engine import DecisionWindow, objective, run_episode, slack
+from vecoff.engine import DecisionWindow, objective, prepare_episode, run_episode, slack
 from vecoff.heuristics import (
     AssignmentPlan,
     DynamicPsoScheduler,
@@ -19,7 +19,6 @@ from vecoff.heuristics import (
     brute_force_oracle,
     decode_priorities,
     induced_ordering,
-    prepare_tasks,
     pso_optimize_static,
     replay_cost,
     replay_ordering,
@@ -194,7 +193,8 @@ class TestReplayCost:
     )
     def test_matches_the_task_replay(self, seed, n, num_mecs, tight, lam):
         rng = np.random.default_rng(seed)
-        prepared = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
+        tasks = make_task_set(rng, n, tight_deadlines=tight)
+        prepared = prepare_episode(tasks, ChannelParams()).tasks
         # columns out of id order: the score may not depend on the order
         # in which the objective or the replay meets the tasks
         base = [prepared[i] for i in rng.permutation(n)]
@@ -222,7 +222,8 @@ class TestReplayCost:
         self, data, seed, n, num_mecs, tight
     ):
         rng = np.random.default_rng(seed)
-        base = prepare_tasks(make_task_set(rng, n, tight_deadlines=tight), ChannelParams())
+        tasks = make_task_set(rng, n, tight_deadlines=tight)
+        base = prepare_episode(tasks, ChannelParams()).tasks
         # few distinct availabilities, so servers tie, and unequal starts
         avails = data.draw(st.lists(
             st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=num_mecs, max_size=num_mecs
@@ -405,7 +406,7 @@ class TestBruteForceOracle:
     def test_beats_arrival_order_when_it_should(self):
         tasks = self.three_task_spt_case()
         plan = brute_force_oracle(tasks, CFG1, ChannelParams())
-        base = prepare_tasks(tasks, ChannelParams())
+        base = prepare_episode(tasks, ChannelParams()).tasks
         fcfs_obj = objective(replay_ordering(base, (0, 1, 2), 1), CFG1.lambda_weight)
         assert plan.objective < fcfs_obj
         assert plan.ordering[0] != 0
@@ -413,7 +414,7 @@ class TestBruteForceOracle:
     def test_reported_objective_matches_its_replay(self):
         tasks = self.three_task_spt_case()
         plan = brute_force_oracle(tasks, CFG2, ChannelParams())
-        base = prepare_tasks(tasks, ChannelParams())
+        base = prepare_episode(tasks, ChannelParams()).tasks
         replayed = objective(
             replay_ordering(base, plan.ordering, CFG2.num_mecs), CFG2.lambda_weight
         )
@@ -439,7 +440,7 @@ class TestBruteForceOracle:
     def test_oracle_is_a_lower_bound(self, seed, n):
         tasks = make_task_set(np.random.default_rng(seed), n)
         plan = brute_force_oracle(tasks, CFG2, ChannelParams())
-        base = prepare_tasks(tasks, ChannelParams())
+        base = prepare_episode(tasks, ChannelParams()).tasks
         for order in [
             tuple(range(n)),
             tuple(sorted(range(n), key=lambda i: base[i].deadline)),
@@ -459,7 +460,7 @@ class TestStaticPso:
     @settings(max_examples=15)
     def test_never_worse_than_its_warm_starts(self, seed, n):
         tasks = make_task_set(np.random.default_rng(seed), n)
-        base = prepare_tasks(tasks, ChannelParams())
+        base = prepare_episode(tasks, ChannelParams()).tasks
         plan = pso_optimize_static(tasks, CFG2, ChannelParams(), FAST_PSO, seed=seed)
         arrival_order = tuple(
             sorted(range(n), key=lambda i: (base[i].arrival, base[i].id))
@@ -512,7 +513,7 @@ class TestStaticPso:
         self, data, n, swarm, iterations, seed
     ):
         tasks = make_task_set(np.random.default_rng(seed), n, tight_deadlines=True)
-        base = prepare_tasks(tasks, ChannelParams())
+        base = prepare_episode(tasks, ChannelParams()).tasks
         seeded = data.draw(st.lists(st.permutations(range(n)), max_size=4))
         pso = PsoParams(swarm_size=swarm, iterations_static=iterations)
         plan = pso_optimize_static(
@@ -656,13 +657,23 @@ class TestDynamicPsoScoreCache:
 
 
 class TestInducedOrdering:
-    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 20), tight=st.booleans())
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 20),
+        tight=st.booleans(),
+        shuffle_ids=st.booleans(),
+    )
     @settings(max_examples=30)
-    def test_replaying_an_episode_reproduces_its_objective(self, seed, n, tight):
-        tasks = make_task_set(np.random.default_rng(seed), n, tight_deadlines=tight)
+    def test_replaying_an_episode_reproduces_its_objective(self, seed, n, tight, shuffle_ids):
+        rng = np.random.default_rng(seed)
+        tasks = make_task_set(rng, n, tight_deadlines=tight)
+        if shuffle_ids:
+            # ids out of arrival order: id order and arrival order differ
+            for t, new_id in zip(tasks, rng.permutation(n).tolist()):
+                t.id = t.vehicle_id = new_id
         for scheduler in (FcfsScheduler(), SdfScheduler()):
             result = run_episode(tasks, scheduler, CFG2, ChannelParams(), exec_cost=0.0)
-            base = prepare_tasks(tasks, ChannelParams())
+            base = prepare_episode(tasks, ChannelParams()).tasks
             replayed = replay_ordering(base, induced_ordering(result), 2)
             assert math.isclose(
                 objective(replayed, 0.4), objective(result, 0.4), abs_tol=1e-12
