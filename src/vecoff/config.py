@@ -4,31 +4,30 @@ The sections mirror the package layout: ``sim``, ``geometry``,
 ``workload``, ``channel``, ``pso``, ``dqn`` and ``ppo``, plus the
 top-level ``train_vehicles``. The encoder contract is not a section:
 ``ExperimentConfig.encoder`` derives it from ``sim``. One codec serves
-every section: ``section_to_dict`` writes a section's fields under their
-names, and ``config_from_dict`` reads them back, turning JSON lists
-into tuples.
+the whole tree: ``section_to_dict`` writes a config's fields under their
+names, sections included, and ``config_from_dict`` reads them back,
+turning JSON lists into tuples.
 Two fields say in their metadata that they are stored differently:
 ``SimConfig.lambda_weight`` under the key ``"lambda"`` (``"key"``) and
 ``WorkloadModel.proc_time_table`` with ``"WxH"`` string keys (``"keys"``).
 
 A config file may leave out any field or section, which then takes its
-default. Each section checks its own values when it is built
-(``domain.field_faults``), so a value of the wrong type, NaN, or a value
-outside its field's bound is named by its key. Loading rejects unknown
-sections and fields, and it gathers every problem into one
-``ConfigError`` whose messages each start with the section's name.
-``cross_validate`` checks ``train_vehicles``, the one value no section
-checks.
+default. The config and each section check their own values when they
+are built (``domain.field_faults``), so a value of the wrong type, NaN,
+or a value outside its field's bound is named by its key. Loading
+rejects unknown sections and fields, and it gathers every problem into
+one ``ConfigError``; a problem inside a section starts with the
+section's name.
 """
 
-from __future__ import annotations
-
+# annotations are evaluated, not postponed, so the field check reads each
+# section's class itself, not a name looked up again in ``sys.modules``
 import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .domain import ChannelParams, ConfigError, SimConfig, dumps, fits
+from .domain import POSITIVE, ChannelParams, ConfigError, SimConfig, check_fields, dumps
 from .heuristics import PsoParams
 from .mobility import ScenarioGeometry, WorkloadModel
 from .rl.encoding import EncoderSpec
@@ -47,7 +46,10 @@ class ExperimentConfig:
     # density of the episodes both trainers practice on; 100 vehicles
     # gives training episodes in the 40-60 decision range, the same
     # regime the comparison matrix evaluates at its middle density
-    train_vehicles: int = 100
+    train_vehicles: int = field(default=100, metadata=POSITIVE)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def encoder(self) -> EncoderSpec:
@@ -70,8 +72,10 @@ def section_to_dict(obj: Any) -> dict[str, Any]:
 
 
 def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:
-    """The section built from the known fields of ``d`` (None when its
-    invariants reject them) and every problem found."""
+    """The config dataclass ``cls`` built from the known fields of ``d``
+    (None when its invariants reject them) and every problem found. A
+    field whose default is a section is decoded the same way, and its
+    problems are prefixed with its key."""
     if not isinstance(d, dict):
         return None, [f"must be a JSON object, got {type(d).__name__}"]
     by_key = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
@@ -81,15 +85,20 @@ def _decode(cls: type, d: Any) -> tuple[Any, list[str]]:
         f = by_key.get(key)
         if f is None:
             problems.append(f"unknown field {key!r}")
+        elif dataclasses.is_dataclass(f.default_factory):
+            section, found = _decode(f.default_factory, value)
+            problems.extend(f"{key}: {p}" for p in found)
+            if section is not None:
+                kwargs[f.name] = section
         elif f.metadata.get("keys") == "WxH":
             kwargs[f.name] = _wxh_keyed(key, value, problems)
         else:
             kwargs[f.name] = _tupled(value)
     try:
-        section = cls(**kwargs)
+        built = cls(**kwargs)
     except ConfigError as exc:
         return None, problems + exc.violations
-    return section, problems
+    return built, problems
 
 
 def _tupled(value: Any) -> Any:
@@ -115,25 +124,7 @@ def config_from_dict(d: Any) -> ExperimentConfig:
     """Build a config from its JSON object, naming every problem at once."""
     if not isinstance(d, dict):
         raise ConfigError([f"config must be a JSON object, got {type(d).__name__}"])
-    sections = {
-        f.name: f.default_factory
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.default_factory is not dataclasses.MISSING
-    }
-    problems: list[str] = []
-    kwargs: dict[str, Any] = {}
-    for name, value in d.items():
-        if name == "train_vehicles":
-            kwargs[name] = value
-        elif name not in sections:
-            problems.append(f"{name}: unknown config section")
-        else:
-            section, found = _decode(sections[name], value)
-            problems.extend(f"{name}: {p}" for p in found)
-            if section is not None:
-                kwargs[name] = section
-    config = ExperimentConfig(**kwargs)
-    problems.extend(_train_vehicles_problems(config.train_vehicles))
+    config, problems = _decode(ExperimentConfig, d)
     if problems:
         raise ConfigError(problems)
     return config
@@ -143,17 +134,10 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _train_vehicles_problems(train_vehicles: Any) -> list[str]:
-    if fits(train_vehicles, int) and train_vehicles >= 1:
-        return []
-    return [f"train_vehicles: must be an integer >= 1, got {train_vehicles!r}"]
-
-
 def cross_validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Check the value that no section checks itself, ``train_vehicles``."""
-    problems = _train_vehicles_problems(config.train_vehicles)
-    if problems:
-        raise ConfigError(problems)
+    """Run the field check again, on a config whose sections or
+    ``train_vehicles`` were reassigned after it was built."""
+    check_fields(config)
     return config
 
 

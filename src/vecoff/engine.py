@@ -204,20 +204,17 @@ def is_feasible_at(task: Task, start: float) -> bool:
     return (start - task.arrival) <= slack(task)
 
 
-def build_window(
-    pending: list[Task], t_e_av: float, now: float, index: int = 0
-) -> DecisionWindow:
+def build_window(pending: list[Task], t_e_av: float, index: int = 0) -> DecisionWindow:
     """Form a decision window for the earliest availability ``t_e_av``.
 
-    The snapshot takes every pending task that has already arrived by
-    ``t_e_av``. Members that cannot absorb the projected waiting time
-    ``t_e_av - arrival`` are dropped on the spot and removed from
-    ``pending`` (availability never decreases, so they could never become
-    feasible later). Mutates ``pending``.
+    The snapshot takes every pending task: a task queues only while every
+    server is busy past its arrival, and availabilities only grow, so each
+    one arrived by ``t_e_av``. Members that cannot absorb the projected
+    waiting time ``t_e_av - arrival`` are dropped on the spot and removed
+    from ``pending`` (availability never decreases, so they could never
+    become feasible later). Mutates ``pending``.
     """
-    if now < t_e_av:
-        raise ValueError(f"window built at now={now} before availability {t_e_av}")
-    queued = [t for t in pending if t.arrival <= t_e_av]
+    queued = pending[:]
     feasible = []
     for t in queued:
         # t arrived by t_e_av, so t_e_av is max(t_e_av, t.arrival), float for float
@@ -316,7 +313,7 @@ def episode_loop(
             if t_e_av > clock:
                 break
             window_index += 1
-            window = build_window(pending, t_e_av, clock, window_index)
+            window = build_window(pending, t_e_av, window_index)
             feasible = window.feasible
             record = WindowRecord(window_index, len(window.queued), len(feasible))
             windows.append(record)

@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 from unittest import mock
@@ -8,7 +11,8 @@ import numpy as np
 import pytest
 
 import vecoff
-from vecoff.cli import _parse_cost_arg, _parse_policy_args, main
+from vecoff import cli
+from vecoff.cli import _parse_cost_arg, _parse_policy_args, build_parser, main
 from vecoff.config import default_config, save_config
 from vecoff.experiments import ALGO_TAGS, CSV_COLUMNS, MetricsReport
 from vecoff.heuristics import PsoParams
@@ -381,3 +385,43 @@ class TestMatrixAndExport:
         err = capsys.readouterr().err
         assert err == "error: repeated algorithm tags 'fcfs'; repeated seeds 1\n"
         assert not out.exists()
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_commands():
+    """Every ``vecoff`` command line the README and the ``vecoff.cli``
+    docstring print, once each: fenced lines with their ``\\``
+    continuations joined, inline code spans (which may wrap across lines)
+    and the docstring's examples. A bare subcommand name such as ``vecoff
+    train`` names a command and runs none, so it is skipped."""
+    lines, prose = [], []
+    for i, part in enumerate(re.split(r"^```.*$", README.read_text(), flags=re.M)):
+        if i % 2:
+            lines += re.sub(r"\\\n\s*", " ", part).splitlines()
+        else:
+            prose.append(part)
+    lines += re.findall(r"`([^`]+)`", "\n".join(prose))
+    lines += cli.__doc__.splitlines()
+    commands = (" ".join(line.split()) for line in lines)
+    return list(dict.fromkeys(
+        c for c in commands if c.startswith("vecoff ") and len(shlex.split(c)) > 2
+    ))
+
+
+DOCUMENTED = documented_commands()
+
+
+def test_documented_commands_include_the_wrapped_and_continued_lines():
+    assert any(c.startswith("vecoff run --algo off-sta-pso") for c in DOCUMENTED), DOCUMENTED
+    assert any(c.endswith("--seeds 1,2,3 --out report.csv") for c in DOCUMENTED), DOCUMENTED
+    assert "vecoff export --in report.json --format csv --out report.csv" in DOCUMENTED
+
+
+@pytest.mark.parametrize("command", DOCUMENTED)
+def test_documented_command_parses(command):
+    try:
+        build_parser().parse_args(shlex.split(command)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"{command!r} exits {exc.code} with a usage error")

@@ -108,15 +108,18 @@ def test_every_problem_is_named_with_its_section(tmp_path):
         ("pso", "unknown field 'swarm'"),
         ("dqn", "episodes must be positive"),
         ("ppo", "must be a JSON object"),
-        ("encoder", "unknown config section"),
-        ("extra", "unknown config section"),
-        ("train_vehicles", "must be an integer >= 1"),
     ]
     for section, fragment in planted:
         assert any(p.startswith(f"{section}: ") and fragment in p for p in problems), (
             section, fragment, problems)
-    named = (*SECTIONS, "encoder", "extra", "train_vehicles")
-    assert all(p.split(": ", 1)[0] in named for p in problems), problems
+    # top-level problems take the decoder's form, after every section's
+    top_level = [
+        "unknown field 'encoder'",
+        "unknown field 'extra'",
+        "train_vehicles must be positive, got 0",
+    ]
+    assert problems[-3:] == top_level, problems
+    assert all(p.split(": ", 1)[0] in SECTIONS for p in problems[:-3]), problems
 
 
 def test_missing_fields_and_sections_take_defaults(tmp_path):
@@ -140,7 +143,22 @@ def test_cross_validate_rejects_a_bad_train_vehicles():
     config.train_vehicles = 0
     with pytest.raises(ConfigError) as err:
         cross_validate(config)
-    assert err.value.violations == ["train_vehicles: must be an integer >= 1, got 0"]
+    assert err.value.violations == ["train_vehicles must be positive, got 0"]
+    config.train_vehicles = True
+    with pytest.raises(ConfigError) as err:
+        cross_validate(config)
+    assert err.value.violations == ["train_vehicles must be an integer, got True"]
+
+
+def test_a_bad_train_vehicles_is_named_with_the_sections_faults(tmp_path, capsys):
+    doc = {"dqn": {"episodes": 0}, "train_vehicles": True, "pso": {"swarm_size": 0}}
+    code = main(["run", "--algo", "fcfs", "--config", write_json(tmp_path, doc),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: dqn: episodes must be positive, got 0; pso: swarm_size must be positive, "
+        "got 0; train_vehicles must be an integer, got True\n"
+    )
 
 
 def test_encoder_follows_the_sim_section():

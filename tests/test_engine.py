@@ -89,29 +89,15 @@ class TestFeasibility:
 
 
 class TestBuildWindow:
-    def test_snapshot_only_takes_arrived_tasks(self):
-        pending = [
-            make_task(0, arrival=1.0, proc=0.5, remaining=20.0, comm=0.1),
-            make_task(1, arrival=6.0, proc=0.5, remaining=20.0, comm=0.1),
-        ]
-        window = build_window(pending, t_e_av=5.0, now=5.0)
-        assert [t.id for t in window.queued] == [0]
-        assert [t.id for t in window.feasible] == [0]
-        assert len(pending) == 2
-
     def test_infeasible_members_dropped_and_removed(self):
         doomed = make_task(0, arrival=0.0, proc=0.5, remaining=1.0, comm=0.1)
         alive = make_task(1, arrival=0.0, proc=0.5, remaining=20.0, comm=0.1)
         pending = [doomed, alive]
-        window = build_window(pending, t_e_av=5.0, now=5.0)
+        window = build_window(pending, t_e_av=5.0)
         assert [t.id for t in window.queued] == [0, 1]
         assert [t.id for t in window.feasible] == [1]
         assert doomed.status is TaskStatus.DROPPED
         assert pending == [alive]
-
-    def test_window_before_availability_rejected(self):
-        with pytest.raises(ValueError):
-            build_window([], t_e_av=5.0, now=4.0)
 
 
 class TestAssign:

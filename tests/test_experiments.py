@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -327,6 +329,38 @@ class TestMatrix:
             ("on-dyn-pso", 2): 22.16937816617402,
             ("off-sta-pso", 1): 23.729186478830226,
             ("off-sta-pso", 2): 22.16897816617402,
+        }
+
+    def test_fixed_cost_bytes_are_pinned(self, tmp_path):
+        # sha256 of the fixed-cost CSV at one and three tasks per vehicle and
+        # of one contended --dump file; a change that moves these bytes on
+        # purpose re-pins them and says why in CHANGES.md
+        algos = ("fcfs", "sdf", "on-dyn-pso", "off-sta-pso")
+        costs = {a: 1e-4 for a in algos}
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def config(tasks_per_vehicle):
+            cfg = small_config()
+            cfg.sim = dataclasses.replace(cfg.sim, tasks_per_vehicle=tasks_per_vehicle)
+            return cfg
+
+        digests = {}
+        for k in (1, 3):
+            report = run_matrix(
+                config(k), algos=algos, vehicle_counts=(50,), seeds=(1, 2, 3),
+                synthetic_costs=costs,
+            )
+            report.to_csv(str(tmp_path / f"{k}.csv"))
+            digests[f"csv {k}"] = sha256(tmp_path / f"{k}.csv")
+        _, result = run_cell(config(3), "on-dyn-pso", 50, "1", 1, synthetic_costs=costs)
+        result.to_jsonl(str(tmp_path / "dump.jsonl"))
+        digests["dump 3"] = sha256(tmp_path / "dump.jsonl")
+        assert digests == {
+            "csv 1": "eb4cabc99ca500dca7146e12c64c5e0ea8fe670a55f5fef7dfbf7a585e05758a",
+            "csv 3": "a8efdbd8574b8a544211621a0f065d7c717c099558998ee969d9acc296e7b4c7",
+            "dump 3": "2b8c46ea986b80781be286457369dff6ef11a63cabf2929e57647fa124cf8c07",
         }
 
 

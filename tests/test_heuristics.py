@@ -211,6 +211,28 @@ class TestReplayCost:
         assert replay_cost(*args) == objective(replay_ordering(base, order, num_mecs), lam)
 
     @given(
+        specs=st.lists(
+            st.tuples(st.integers(0, 24), st.integers(1, 8), st.integers(0, 3),
+                      st.integers(-1, 3)),
+            min_size=1, max_size=20,
+        ),
+        data=st.data(),
+        num_mecs=st.integers(1, 3),
+        lam=st.floats(0.0, 1.0),
+    )
+    def test_matches_the_task_replay_on_a_grid(self, specs, data, num_mecs, lam):
+        # arrival, processing, comm and slack in steps of 0.25 s: sums are
+        # exact, so a task's waiting can equal its slack, where the
+        # inclusive deadline still serves it
+        base = []
+        for tid, (a, p, c, s) in enumerate(specs):
+            base.append(make_task(tid, arrival=a * 0.25, proc=p * 0.25,
+                                  remaining=(p + c + s) * 0.25, comm=c * 0.25))
+        order = tuple(data.draw(st.permutations(range(len(base)))))
+        args = (order, [0.0] * num_mecs, *_columns(base), lam)
+        assert replay_cost(*args) == objective(replay_ordering(base, order, num_mecs), lam)
+
+    @given(
         data=st.data(),
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(1, 20),

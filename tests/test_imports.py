@@ -37,7 +37,9 @@ ALLOWED: dict[tuple[str, str], str] = {
 # (module path relative to src/vecoff, top-level name): why nothing in
 # src/ runs it and it stays there
 UNREAD: dict[tuple[str, str], str] = {
-    ("config.py", "cross_validate"): "perfbench/bench.py checks its configs with it",
+    ("config.py", "cross_validate"): (
+        "perfbench/bench.py re-checks configs whose sections it reassigned"
+    ),
     ("config.py", "save_config"): "the README's documented way to write a config",
     ("heuristics.py", "RandomScheduler"): "gate 11 fuzzes the engine with it",
     ("heuristics.py", "brute_force_oracle"): "gate 01 bounds the swarm by it",

@@ -146,6 +146,14 @@ class TestDecisionReward:
         assert r.gap_total < 0
         assert r.r_total == 0.0
 
+    def test_gaps_summing_to_zero_score_zero(self):
+        # gaps +2 and -2 against the availability: G == 0 exactly
+        tasks = gap_window([3.0, 7.0]).feasible
+        r = decision_reward(window_at(tasks, 5.0), 0)
+        assert r.gaps == [-2.0, 2.0]
+        assert r.gap_total == 0.0
+        assert r.r_total == 0.0
+
     def test_bad_choice_rejected(self):
         w = gap_window([2.0, 3.0])
         with pytest.raises(ValueError):
