@@ -29,6 +29,7 @@ from .experiments import (
     run_cell,
     run_matrix,
 )
+from .rl.policy import POLICY_ALGORITHMS, load_policy
 
 
 def _parse_policy_args(pairs: list[str], default_algo: str | None) -> dict[str, str]:
@@ -38,10 +39,11 @@ def _parse_policy_args(pairs: list[str], default_algo: str | None) -> dict[str, 
     for pair in pairs:
         if "=" in pair:
             algo, path = pair.split("=", 1)
-            if algo not in ("dqn", "ppo"):
-                raise ValueError(f"--policy tag must be dqn or ppo, got {algo!r}")
+            if algo not in POLICY_ALGORITHMS:
+                tags = " or ".join(POLICY_ALGORITHMS)
+                raise ValueError(f"--policy tag must be {tags}, got {algo!r}")
             out[algo] = path
-        elif default_algo in ("dqn", "ppo"):
+        elif default_algo in POLICY_ALGORITHMS:
             out[default_algo] = pair
         else:
             raise ValueError(
@@ -166,11 +168,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _require_policies(algos: list[str], args: argparse.Namespace, default_algo=None):
-    from .rl.policy import load_policy
-
     policy_paths = _parse_policy_args(args.policy or [], default_algo)
-    needed = [a for a in algos if a in ("dqn", "ppo")]
-    missing = [a for a in needed if a not in policy_paths]
+    missing = [a for a in algos if a in POLICY_ALGORITHMS and a not in policy_paths]
     if missing:
         raise ValueError(
             f"algorithm(s) {', '.join(missing)} need a trained policy; "
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a scheduler policy")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--algo", choices=["dqn", "ppo"], required=True)
+    p.add_argument("--algo", choices=POLICY_ALGORITHMS, required=True)
     p.add_argument("--vehicles", type=int, help="override the training density")
     p.add_argument("--episodes", type=int, help="override the episode budget")
     p.add_argument("--out", required=True, help="policy JSON path")

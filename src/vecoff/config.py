@@ -23,11 +23,12 @@ section's name.
 # annotations are evaluated, not postponed, so the field check reads each
 # section's class itself, not a name looked up again in ``sys.modules``
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .domain import POSITIVE, ChannelParams, ConfigError, SimConfig, check_fields, dumps
+from .domain import (
+    POSITIVE, ChannelParams, ConfigError, SimConfig, check_fields, dumps, read_json,
+)
 from .heuristics import PsoParams
 from .mobility import ScenarioGeometry, WorkloadModel
 from .rl.encoding import EncoderSpec
@@ -147,9 +148,4 @@ def save_config(config: ExperimentConfig, path: str) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{path}: not JSON: {exc}"]) from exc
-    return config_from_dict(d)
+    return config_from_dict(read_json(path, lambda message: ConfigError([message])))

@@ -292,6 +292,16 @@ class SimConfig:
         check_fields(self)
 
 
+def read_json(path: str, fault: typing.Callable[[str], Exception] = ValueError) -> Any:
+    """The JSON document at ``path``. A file that is not JSON raises
+    ``fault("{path}: not JSON: {reason}")``, chained to the parse error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise fault(f"{path}: not JSON: {exc}") from exc
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON used for golden-file comparisons: sorted keys, no
     whitespace variation, trailing newline."""

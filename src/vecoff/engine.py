@@ -210,9 +210,10 @@ def build_window(pending: list[Task], t_e_av: float, index: int = 0) -> Decision
     The snapshot takes every pending task: a task queues only while every
     server is busy past its arrival, and availabilities only grow, so each
     one arrived by ``t_e_av``. Members that cannot absorb the projected
-    waiting time ``t_e_av - arrival`` are dropped on the spot and removed
-    from ``pending`` (availability never decreases, so they could never
-    become feasible later). Mutates ``pending``.
+    waiting time ``t_e_av - arrival`` are dropped on the spot
+    (availability never decreases, so they could never become feasible
+    later), and ``pending`` is left holding exactly ``window.feasible``,
+    in order, so a pick leaves the queue by its index.
     """
     queued = pending[:]
     feasible = []
@@ -222,9 +223,7 @@ def build_window(pending: list[Task], t_e_av: float, index: int = 0) -> Decision
             feasible.append(t)
         else:
             t.transition(_DROPPED)
-    if len(feasible) < len(queued):
-        # by status, not by value: list.remove would compare whole tasks
-        pending[:] = [t for t in pending if t.status is _PENDING]
+    pending[:] = feasible
     return DecisionWindow(index, queued, feasible, t_e_av)
 
 
@@ -332,11 +331,7 @@ def episode_loop(
             record.duration = duration
             if cfg.charge_exec_time and duration > 0:
                 clock += duration
-            task = feasible[choice]
-            for i, t in enumerate(pending):  # by identity, not list.remove's value test
-                if t is task:
-                    del pending[i]
-                    break
+            task = pending.pop(choice)
             # a charged decision can take long enough to expire its pick
             place(task, sid)
 

@@ -21,17 +21,21 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence, get_type_hints
 
 from . import heuristics
+from .domain import read_json
 from .engine import EpisodeResult, _objective, prepare_episode, run_episode
 from .mobility import episode_seeds, generate_trace, spawn_tasks
 from .rl.encoding import PolicyContractError
-from .rl.policy import PolicyScheduler
+from .rl.policy import POLICY_ALGORITHMS, PolicyScheduler
 
 ALGO_TAGS = ("off-sta-pso", "on-dyn-pso", "dqn", "ppo", "fcfs", "sdf")
 DEFAULT_SEEDS = tuple(range(1, 11))
 DEFAULT_VEHICLE_COUNTS = (50, 100, 200)
 
 
-def _log10_or_neg_inf(x: float) -> float:
+def _log10_exec(windows: float, per_window_s: float, total_s: float) -> float:
+    """Decision time on a log scale: an online scheduler is judged per
+    decision, the offline one, which has no windows, by its single run."""
+    x = per_window_s if windows else total_s
     return math.log10(x) if x > 0 else float("-inf")
 
 
@@ -76,9 +80,6 @@ class RunRow:
         windows = result.num_windows
         exec_s = result.total_decision_time if total_exec_s is None else total_exec_s
         per_window = exec_s / windows if windows else 0.0
-        # dynamic schedulers are judged per decision, the offline one by its
-        # single optimization run
-        log10_exec = _log10_or_neg_inf(per_window if windows else exec_s)
         return cls(
             algo=algo,
             vehicles=vehicles,
@@ -92,7 +93,7 @@ class RunRow:
             total_exec_s=exec_s,
             windows=windows,
             per_window_exec_s=per_window,
-            log10_exec=log10_exec,
+            log10_exec=_log10_exec(windows, per_window, exec_s),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -140,14 +141,13 @@ _AVERAGED = (
 def _mean_row(rows: Sequence[RunRow]) -> RunRow:
     """Average the numeric columns of one (algo, vehicles) cell."""
     mean = {name: math.fsum(getattr(r, name) for r in rows) / len(rows) for name in _AVERAGED}
-    exec_s = mean["per_window_exec_s"] if mean["windows"] else mean["total_exec_s"]
     return RunRow(
         algo=rows[0].algo,
         vehicles=rows[0].vehicles,
         run="mean",
         seed=-1,
         **{**mean, "windows": round(mean["windows"])},
-        log10_exec=_log10_or_neg_inf(exec_s),
+        log10_exec=_log10_exec(mean["windows"], mean["per_window_exec_s"], mean["total_exec_s"]),
     )
 
 
@@ -181,12 +181,7 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, path: str) -> "MetricsReport":
-        with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not JSON: {exc}") from exc
-        return cls.from_dict(d, path)
+        return cls.from_dict(read_json(path), path)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -223,6 +218,25 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
+def _policy_faults(
+    algo: str, config: "ExperimentConfig", policies: Mapping[str, Any] | None
+) -> list[ValueError]:
+    """Why ``policies`` cannot drive ``config``'s simulation as the RL tag
+    ``algo``, in order: no policy, another algorithm's, another server count."""
+    policy = (policies or {}).get(algo)
+    if policy is None:
+        return [ValueError(f"algorithm {algo} requires a trained policy")]
+    faults = []
+    if policy.algorithm != algo:
+        faults.append(ValueError(f"policy trained for {policy.algorithm} cannot run as {algo}"))
+    if policy.encoder.num_mecs != config.sim.num_mecs:
+        faults.append(PolicyContractError(
+            f"{algo} policy encoder expects {policy.encoder.num_mecs} servers, "
+            f"simulation has {config.sim.num_mecs}"
+        ))
+    return faults
+
+
 def make_scheduler(
     algo: str,
     config: "ExperimentConfig",
@@ -231,11 +245,10 @@ def make_scheduler(
 ):
     """Instantiate the scheduler behind an algorithm tag.
 
-    RL tags need a trained policy in ``policies`` whose encoder has the
-    config's server count; a fresh scheduler is built per call so
-    stateful search seeds stay reproducible.
+    RL tags need a policy in ``policies`` that can run ``config``; the
+    first of its ``_policy_faults`` is raised. A fresh scheduler is built
+    per call so stateful search seeds stay reproducible.
     """
-    policies = policies or {}
     if algo == "fcfs":
         return heuristics.FcfsScheduler()
     if algo == "sdf":
@@ -244,20 +257,10 @@ def make_scheduler(
         return heuristics.DynamicPsoScheduler(
             config.pso, config.sim.lambda_weight, seed=seed
         )
-    if algo in ("dqn", "ppo"):
-        policy = policies.get(algo)
-        if policy is None:
-            raise ValueError(f"algorithm {algo} requires a trained policy")
-        if policy.algorithm != algo:
-            raise ValueError(
-                f"policy trained for {policy.algorithm} cannot run as {algo}"
-            )
-        if policy.encoder.num_mecs != config.sim.num_mecs:
-            raise PolicyContractError(
-                f"{algo} policy encoder expects {policy.encoder.num_mecs} servers, "
-                f"simulation has {config.sim.num_mecs}"
-            )
-        return PolicyScheduler(policy)
+    if algo in POLICY_ALGORITHMS:
+        if faults := _policy_faults(algo, config, policies):
+            raise faults[0]
+        return PolicyScheduler(policies[algo])
     raise ValueError(f"unknown algorithm tag {algo!r}; expected one of {ALGO_TAGS}")
 
 
@@ -301,6 +304,7 @@ def run_cell(
     the online algorithms.
     """
     sim = config.sim
+    cost = None if synthetic_costs is None else synthetic_costs.get(algo, 0.0)
     if tasks is None:
         _, tasks = build_episode_tasks(config, vehicles, seed)
     episode = prepare_episode(tasks, config.channel)
@@ -313,18 +317,14 @@ def run_cell(
         )
         wall = time.perf_counter() - t0
         result = heuristics.replay_ordering(episode.tasks, plan.ordering, sim.num_mecs)
-        if synthetic_costs is None:
-            total_exec = wall
-        else:
-            total_exec = synthetic_costs.get(algo, 0.0)
         row = RunRow.from_result(
-            algo, vehicles, run, seed, result, sim.lambda_weight, total_exec_s=total_exec
+            algo, vehicles, run, seed, result, sim.lambda_weight,
+            total_exec_s=wall if cost is None else cost,
         )
         return row, result
 
     scheduler = make_scheduler(algo, config, seed, policies)
-    exec_cost = None if synthetic_costs is None else synthetic_costs.get(algo, 0.0)
-    result = run_episode(episode, scheduler, sim, config.channel, exec_cost=exec_cost)
+    result = run_episode(episode, scheduler, sim, config.channel, exec_cost=cost)
     row = RunRow.from_result(algo, vehicles, run, seed, result, sim.lambda_weight)
     return row, result
 
@@ -345,8 +345,9 @@ def run_matrix(
     optimizer runs after the online algorithms of its column and
     warm-starts its swarm with the schedules they actually executed,
     which pins it to its role as the performance bound: it can only
-    improve on them. Repeated tags, densities or seeds are rejected, and
-    so is an empty seed list, which leaves a cell no row to average.
+    improve on them. Repeated tags, densities or seeds, an empty seed
+    list (a cell with no row to average) and policies that cannot run
+    are rejected before the first cell, each kind in one error.
     """
     for algo in algos:
         if algo not in ALGO_TAGS:
@@ -362,6 +363,9 @@ def run_matrix(
         raise ValueError("repeated " + "; repeated ".join(repeats))
     if not seeds:
         raise ValueError("no seeds: every cell needs at least one seeded run")
+    rl_algos = [a for a in algos if a in POLICY_ALGORITHMS]
+    if faults := [str(f) for a in rl_algos for f in _policy_faults(a, config, policies)]:
+        raise ValueError("; ".join(faults))
     report = MetricsReport()
     ordered = [a for a in algos if a != "off-sta-pso"] + [
         a for a in algos if a == "off-sta-pso"

@@ -13,22 +13,21 @@ network and layer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..domain import MecState, dumps
+from ..domain import MecState, dumps, read_json
 from ..engine import DecisionWindow
 from .encoding import EncoderSpec, encode_state
 from .nets import Mlp
 
 POLICY_FORMAT_VERSION = 1
 
-_ALGORITHMS = ("dqn", "ppo")
 # which networks each algorithm carries; the first one acts
 _REQUIRED_NETS = {"dqn": ("q",), "ppo": ("actor", "critic")}
+POLICY_ALGORITHMS = tuple(_REQUIRED_NETS)
 
 
 class PolicyFormatError(ValueError):
@@ -45,7 +44,7 @@ class Policy:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in POLICY_ALGORITHMS:
             raise PolicyFormatError(f"unknown algorithm {self.algorithm!r}")
         required = _REQUIRED_NETS[self.algorithm]
         missing = [n for n in required if n not in self.networks]
@@ -148,12 +147,7 @@ def save_policy(policy: Policy, path: str) -> None:
 
 
 def load_policy(path: str) -> Policy:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PolicyFormatError(f"{path}: not JSON: {exc}") from exc
-    return policy_from_dict(d)
+    return policy_from_dict(read_json(path, PolicyFormatError))
 
 
 def masked_argmax(values: np.ndarray, mask: np.ndarray) -> int:

@@ -349,6 +349,24 @@ class TestMatrixAndExport:
         assert code == 0
         assert [row.seed for row in MetricsReport.from_csv(str(out)).rows] == [5]
 
+    def test_matrix_rejects_a_policy_of_another_algorithm_before_any_cell(
+        self, tmp_path, capsys
+    ):
+        enc = default_config().encoder
+        rng = np.random.default_rng(0)
+        nets = [Mlp([enc.state_dim, 8, out], rng=rng) for out in (enc.action_dim, 1)]
+        path = tmp_path / "ppo.json"
+        save_policy(Policy("ppo", enc, dict(zip(("actor", "critic"), nets))), str(path))
+        out = tmp_path / "r.csv"
+        with mock.patch("vecoff.experiments.run_cell", side_effect=AssertionError("a cell ran")):
+            code = main([
+                "matrix", "--algos", "on-dyn-pso,dqn", "--vehicles", "200", "--seeds", "1,2,3",
+                "--policy", f"dqn={path}", "--synthetic-exec-cost", "0.0001", "--out", str(out),
+            ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: policy trained for ppo cannot run as dqn\n"
+        assert not out.exists()
+
     def test_matrix_rl_needs_policies(self, tmp_path, capsys):
         code = main([
             "matrix", "--algos", "fcfs,dqn", "--vehicles", "20", "--seeds", "1",

@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from vecoff import engine, heuristics
+from vecoff import engine, experiments, heuristics
 from vecoff.config import default_config
 from vecoff.domain import ChannelParams, SimConfig
 from vecoff.engine import objective, prepare_episode
@@ -258,6 +260,25 @@ class TestMatrix:
         with pytest.raises(ValueError, match="no seeds"):
             run_matrix(small_config(), algos=("fcfs",), vehicle_counts=(20,), seeds=())
 
+    def test_every_policy_that_cannot_run_is_named_before_the_first_cell(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: pytest.fail("a cell ran"))
+        rng = np.random.default_rng(0)
+
+        def ppo_policy(num_mecs):
+            enc = EncoderSpec(num_mecs=num_mecs, window_cap=16)
+            nets = [Mlp([enc.state_dim, 4, out], rng=rng) for out in (enc.action_dim, 1)]
+            return Policy("ppo", enc, dict(zip(("actor", "critic"), nets)))
+
+        with pytest.raises(ValueError) as err:
+            run_matrix(
+                small_config(), algos=("fcfs", "dqn", "ppo"), vehicle_counts=(20,), seeds=(1,),
+                policies={"dqn": ppo_policy(2), "ppo": ppo_policy(3)},
+            )
+        assert str(err.value) == (
+            "policy trained for ppo cannot run as dqn; "
+            "ppo policy encoder expects 3 servers, simulation has 2"
+        )
+
     def test_each_column_is_prepared_once(self, monkeypatch):
         attaches = []
         for module in (engine, heuristics):
@@ -404,3 +425,19 @@ class TestBuildEpisodeTasks:
         cfg = small_config()
         _, tasks = build_episode_tasks(cfg, 25, 1)
         assert len(tasks) == 25 * cfg.sim.tasks_per_vehicle
+
+
+def test_the_readme_standalone_objectives_hold():
+    # the README's standalone off-sta-pso, sdf and on-dyn-pso objectives at
+    # 200 vehicles, seed 1 and a 0.1 ms charge, read from its own sentence
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text().split())
+    found = re.search(
+        r"scores (\d+\.\d\d), against (\d+\.\d\d) for sdf and (\d+\.\d\d) for on-dyn-pso",
+        text,
+    )
+    assert found, "the README no longer states the standalone objectives"
+    cfg = default_config()
+    for algo, figure in zip(("off-sta-pso", "sdf", "on-dyn-pso"), found.groups()):
+        row, _ = run_cell(cfg, algo, 200, "1", 1, synthetic_costs={algo: 1e-4})
+        assert f"{row.objective:.2f}" == figure, algo

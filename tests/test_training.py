@@ -6,6 +6,7 @@ import pytest
 from vecoff import engine
 from vecoff.rl import dqn, envs, ppo
 from vecoff.rl.dqn import ReplayBuffer, train_dqn
+from vecoff.rl.encoding import EncoderSpec
 from vecoff.rl.envs import OffloadEnv, ToyTwoActionEnv
 from vecoff.rl.nets import Mlp
 from vecoff.rl.params import DqnParams, PpoParams
@@ -310,6 +311,22 @@ class TestOffloadEnvSteps:
             reward, nxt, done = env.step(0)
         assert env.last_result is not None
         assert env.last_result.num_windows >= 1
+
+    def test_a_pick_past_the_encoder_cap_earns_nothing(self):
+        # with a cap of 2 slots, action 2 is outside every window the agent
+        # sees, even where the window holds a third feasible task
+        cfg = default_config()
+        env = OffloadEnv(
+            cfg.geometry, cfg.workload, cfg.sim, cfg.channel,
+            EncoderSpec(num_mecs=2, window_cap=2), vehicles=100, seed=3,
+        )
+        env.reset()
+        rewards, done = [], False
+        while not done:
+            reward, _, done = env.step(2)
+            rewards.append(reward)
+        assert rewards == [0.0] * len(rewards)
+        assert env.last_result is not None
 
     def test_step_before_reset_rejected(self):
         env = ToyTwoActionEnv(seed=0)
