@@ -218,22 +218,17 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def _policy_faults(
-    algo: str, config: "ExperimentConfig", policies: Mapping[str, Any] | None
-) -> list[ValueError]:
-    """Why ``policies`` cannot drive ``config``'s simulation as the RL tag
-    ``algo``, in order: no policy, another algorithm's, another server count."""
-    policy = (policies or {}).get(algo)
-    if policy is None:
-        return [ValueError(f"algorithm {algo} requires a trained policy")]
+def _policy_faults(algo: str, config: "ExperimentConfig", policy) -> list[str]:
+    """Why a loaded ``policy`` cannot drive ``config``'s simulation as the
+    RL tag ``algo``, in order: another algorithm's, another server count."""
     faults = []
     if policy.algorithm != algo:
-        faults.append(ValueError(f"policy trained for {policy.algorithm} cannot run as {algo}"))
+        faults.append(f"policy trained for {policy.algorithm} cannot run as {algo}")
     if policy.encoder.num_mecs != config.sim.num_mecs:
-        faults.append(PolicyContractError(
+        faults.append(
             f"{algo} policy encoder expects {policy.encoder.num_mecs} servers, "
             f"simulation has {config.sim.num_mecs}"
-        ))
+        )
     return faults
 
 
@@ -245,9 +240,9 @@ def make_scheduler(
 ):
     """Instantiate the scheduler behind an algorithm tag.
 
-    RL tags need a policy in ``policies`` that can run ``config``; the
-    first of its ``_policy_faults`` is raised. A fresh scheduler is built
-    per call so stateful search seeds stay reproducible.
+    RL tags need a policy in ``policies`` that can run ``config``; the first
+    of its ``_policy_faults`` is raised as a PolicyContractError. A fresh
+    scheduler is built per call so stateful search seeds stay reproducible.
     """
     if algo == "fcfs":
         return heuristics.FcfsScheduler()
@@ -258,9 +253,12 @@ def make_scheduler(
             config.pso, config.sim.lambda_weight, seed=seed
         )
     if algo in POLICY_ALGORITHMS:
-        if faults := _policy_faults(algo, config, policies):
-            raise faults[0]
-        return PolicyScheduler(policies[algo])
+        policy = (policies or {}).get(algo)
+        if policy is None:
+            raise ValueError(f"algorithm {algo} requires a trained policy")
+        if faults := _policy_faults(algo, config, policy):
+            raise PolicyContractError(faults[0])
+        return PolicyScheduler(policy)
     raise ValueError(f"unknown algorithm tag {algo!r}; expected one of {ALGO_TAGS}")
 
 
@@ -346,8 +344,9 @@ def run_matrix(
     warm-starts its swarm with the schedules they actually executed,
     which pins it to its role as the performance bound: it can only
     improve on them. Repeated tags, densities or seeds, an empty seed
-    list (a cell with no row to average) and policies that cannot run
-    are rejected before the first cell, each kind in one error.
+    list (a cell with no row to average) and given policies that cannot run
+    are rejected before the first cell, each kind in one error (a missing
+    policy fails at its cell; the CLI rejects it before the call).
     """
     for algo in algos:
         if algo not in ALGO_TAGS:
@@ -363,8 +362,9 @@ def run_matrix(
         raise ValueError("repeated " + "; repeated ".join(repeats))
     if not seeds:
         raise ValueError("no seeds: every cell needs at least one seeded run")
-    rl_algos = [a for a in algos if a in POLICY_ALGORITHMS]
-    if faults := [str(f) for a in rl_algos for f in _policy_faults(a, config, policies)]:
+    policies = policies or {}
+    rl_given = [a for a in algos if a in POLICY_ALGORITHMS and a in policies]
+    if faults := [f for a in rl_given for f in _policy_faults(a, config, policies[a])]:
         raise ValueError("; ".join(faults))
     report = MetricsReport()
     ordered = [a for a in algos if a != "off-sta-pso"] + [

@@ -22,7 +22,7 @@ from ..engine import DecisionWindow
 
 
 class PolicyContractError(ValueError):
-    """The policy's encoder contract does not match the simulation."""
+    """The policy cannot drive the simulation: another algorithm's, or another encoder."""
 
 
 @dataclass

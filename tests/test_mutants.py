@@ -41,11 +41,26 @@ def test_a_caught_mutant_is_killed_and_a_missed_one_survives(tmp_path):
         mutants.Mutant("sign of zero", "src/toy.py", "x >= 0", "x > 0"),
         mutants.Mutant("same sign", "src/toy.py", "else -1", "else -1 * 1", equivalent="same"),
     ]
-    verdicts = [(m.name, verdict) for m, verdict in mutants.run(tree, listed)]
+    verdicts = [(m.name, verdict, by) for m, verdict, by in mutants.run(tree, listed)]
     assert verdicts == [
-        ("half doubles", "killed"), ("sign of zero", "survived"), ("same sign", "equivalent"),
+        ("half doubles", "killed", "tests/test_toy.py::test_half"),
+        ("sign of zero", "survived", ""),
+        ("same sign", "equivalent", ""),
     ]
     assert (tree / "src" / "toy.py").read_text() == SOURCE
+
+
+def test_the_tools_own_list_check_kills_no_mutant(tmp_path):
+    # like the real tests/test_mutants.py, this check reads the tree it
+    # sits in, so in a mutated copy it fails whatever the code does
+    tree = fake_tree(tmp_path / "tree")
+    (tree / "tests" / "test_mutants.py").write_text(
+        "import pathlib\n\n\ndef test_listed_text_applies():\n"
+        "    root = pathlib.Path(__file__).resolve().parent.parent\n"
+        "    assert (root / 'src' / 'toy.py').read_text().count('x >= 0') == 1\n"
+    )
+    missed = [mutants.Mutant("sign of zero", "src/toy.py", "x >= 0", "x > 0")]
+    assert [verdict for _, verdict, _ in mutants.run(tree, missed)] == ["survived"]
 
 
 def test_a_stale_mutant_is_an_error(tmp_path):

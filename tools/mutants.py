@@ -6,14 +6,17 @@ Each entry of ``MUTANTS`` names one small fault: a file, a text that
 occurs in it exactly once, and what it becomes. The tool first runs the
 tests on an unmutated copy, which must pass; then, for each mutant, it
 copies the tree to a temporary directory, makes the one edit, and runs
-``pytest -q -x -p no:cacheprovider --ignore=tests/test_acceptance.py``
-there. A mutant is killed when that run fails, survived when it passes,
-and equivalent when the list gives the reason no test can tell it from
-the code (such a mutant is not run). It prints one line per mutant and
-exits 1 if any mutant that is not equivalent survived. A listed text
-that no longer occurs exactly once is an error, so the list cannot go
-stale silently. It takes about three minutes, most of it in survivors'
-full runs. Standard library only.
+``pytest -q -x -p no:cacheprovider`` there. The run leaves out the slow
+gates in ``tests/test_acceptance.py`` and this tool's own test, which
+checks that each listed text is still in its file and so would fail on
+every mutated copy whatever the code does. A mutant is killed when that
+run fails, survived when it passes, and equivalent when the list gives
+the reason no test can tell it from the code (such a mutant is not run).
+It prints one line per mutant, a killed one with the first test that
+failed, and exits 1 if any mutant that is not equivalent survived. A
+listed text that no longer occurs exactly once is an error, so the list
+cannot go stale silently. It takes two to three minutes, most of it in
+the unmutated run. Standard library only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--ignore=tests/test_acceptance.py")
+PYTEST = (
+    "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+    "--ignore=tests/test_acceptance.py", "--ignore=tests/test_mutants.py",
+)
 # left out of each copy: history and caches, which no test reads
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 
@@ -79,21 +85,27 @@ MUTANTS = (
 )
 
 
-def _tests_pass(tree: Path) -> bool:
+def _first_failure(tree: Path) -> str:
+    """The id of the first test that fails in ``tree``, or "" when all pass."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
         [sys.executable, *PYTEST], cwd=tree, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
-    return proc.returncode == 0
+    if proc.returncode == 0:
+        return ""
+    lines = proc.stdout.splitlines()
+    failed = [ln.split()[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit {proc.returncode}"
 
 
 def _copy(root: Path, tmp: str) -> Path:
     return Path(shutil.copytree(root, Path(tmp) / "tree", ignore=SKIP))
 
 
-def run(root: Path, mutants: Sequence[Mutant]) -> Iterator[tuple[Mutant, str]]:
-    """Each mutant in turn with its verdict: killed, survived or equivalent.
+def run(root: Path, mutants: Sequence[Mutant]) -> Iterator[tuple[Mutant, str, str]]:
+    """Each mutant in turn with its verdict (killed, survived or
+    equivalent) and, for a killed one, the first test that failed.
 
     Raises RuntimeError when the unmutated tests fail, and ValueError
     when a mutant's text does not occur exactly once in its file.
@@ -102,24 +114,24 @@ def run(root: Path, mutants: Sequence[Mutant]) -> Iterator[tuple[Mutant, str]]:
         if (n := (root / m.file).read_text().count(m.old)) != 1:
             raise ValueError(f"{m.name}: {m.file} holds {n} copies of {m.old!r}, expected 1")
     with tempfile.TemporaryDirectory() as tmp:
-        if not _tests_pass(_copy(root, tmp)):
-            raise RuntimeError(f"the tests fail on an unmutated copy of {root}")
+        if failure := _first_failure(_copy(root, tmp)):
+            raise RuntimeError(f"{failure} fails on an unmutated copy of {root}")
     for m in mutants:
         if m.equivalent:
-            yield m, "equivalent"
+            yield m, "equivalent", ""
             continue
         with tempfile.TemporaryDirectory() as tmp:
             tree = _copy(root, tmp)
             target = tree / m.file
             target.write_text(target.read_text().replace(m.old, m.new))
-            passed = _tests_pass(tree)
-        yield m, "survived" if passed else "killed"
+            failure = _first_failure(tree)
+        yield m, "killed" if failure else "survived", failure
 
 
 def main() -> int:
     survivors = []
-    for m, verdict in run(ROOT, MUTANTS):
-        why = f" ({m.equivalent})" if m.equivalent else ""
+    for m, verdict, failure in run(ROOT, MUTANTS):
+        why = f" ({m.equivalent or failure})" if m.equivalent or failure else ""
         print(f"{verdict:10} {m.name}{why}", flush=True)
         if verdict == "survived":
             survivors.append(m.name)
