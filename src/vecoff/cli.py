@@ -135,6 +135,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .rl.envs import OffloadEnv
     from .rl.policy import save_policy
     from .rl.ppo import train_ppo
+    from .rl.training import TrainingDiverged
 
     _check_floors(
         ("--vehicles", args.vehicles, 1), ("--episodes", args.episodes, 1), ("--seed", args.seed, 0)
@@ -155,7 +156,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         params, train = config.ppo, train_ppo
     if args.episodes is not None:
         params = dataclasses.replace(params, episodes=args.episodes)
-    result = train(env, params, seed=args.seed)
+    try:
+        result = train(env, params, seed=args.seed)
+    except TrainingDiverged as exc:
+        raise ValueError(f"{args.algo} training diverged: {exc}") from exc
     save_policy(result.policy, args.out)
     if args.curve:
         result.save_curve(args.curve)
@@ -233,9 +237,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     src = args.infile
-    report = (
-        MetricsReport.from_csv(src) if src.endswith(".csv") else MetricsReport.from_json(src)
-    )
+    read = MetricsReport.from_csv if src.lower().endswith(".csv") else MetricsReport.from_json
+    report = read(src)
     export_report(report, args.format, args.out)
     print(f"rewrote {src} as {args.format} at {args.out}")
     return 0

@@ -1,13 +1,13 @@
 """Vehicle traces, coverage geometry, and task generation.
 
 Vehicles drive a straight road at constant per-vehicle speed and are
-sampled at 1 Hz from the moment they enter the road. A trace is one
-columnar ``Trace``: arrays of time, vehicle id, position and speed, one
-entry per sample. The roadside unit covers a disc; a vehicle's deadline
-context is the instant it leaves that disc. Positions between samples are
-linear in time (speeds are constant), so range crossings are found exactly
-by solving the quadratic |p(t) - rsu|^2 = radius^2 on the bracketing
-segment; ``coverage`` does so for every vehicle in one pass over arrays.
+sampled at 1 Hz from the moment they enter the road. A ``Trace`` holds
+one row per vehicle: its entry time, its speed and its sample count. The
+roadside unit covers a disc; a vehicle's deadline context is the instant
+it leaves that disc. Positions between samples are linear in time, so
+range crossings are found exactly by solving the quadratic
+|p(t) - rsu|^2 = radius^2 on the two segments that cross the rim;
+``coverage`` does so for every vehicle at once.
 
 The geometry and workload defaults here are desk-scale placeholders chosen
 for a loaded-but-survivable RSU; they make no claim to match any particular
@@ -25,37 +25,20 @@ from .domain import NON_EMPTY, POSITIVE, Task, check_fields, field_faults
 
 LANE_WIDTH_M = 3.5
 
-TRACE_HEADER = ["time", "vehicle_id", "x", "y", "speed"]
-
 
 @dataclass(eq=False)
 class Trace:
-    """A floating-car trace as columns, one entry per sample.
+    """Straight constant-speed drives, one row per vehicle in id order.
 
-    ``generate_trace`` emits the samples grouped by vehicle in time order;
-    a trace built by hand may interleave vehicles, and ``coverage`` groups
-    them.
-    ``len`` counts samples, and two traces are equal when every column is.
+    Vehicle v enters the road at x = 0 at time ``entry[v]`` and drives at
+    ``speed[v]``; its k-th 1 Hz sample, for k < ``samples[v]``, is at
+    x = speed[v] * k and time entry[v] + k. Its lane, and so its lateral
+    offset, is v modulo the geometry's lane count.
     """
 
-    time: np.ndarray
-    vehicle_id: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    entry: np.ndarray
     speed: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in TRACE_HEADER:
-            dtype = np.int64 if name == "vehicle_id" else np.float64
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-
-    def __len__(self) -> int:
-        return len(self.time)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Trace) and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in TRACE_HEADER
-        )
+    samples: np.ndarray
 
 
 @dataclass
@@ -133,7 +116,7 @@ def episode_seeds(seed: int) -> tuple[int, int]:
 
 
 def generate_trace(geom: ScenarioGeometry, n_vehicles: int, seed: int) -> Trace:
-    """Synthesize a floating-car trace.
+    """Synthesize one straight drive per vehicle.
 
     Vehicles enter at x=0 with exponential headways (rate
     ``geom.entry_rate``), drive at a constant speed drawn uniformly from
@@ -155,79 +138,74 @@ def generate_trace(geom: ScenarioGeometry, n_vehicles: int, seed: int) -> Trace:
         counts -= over
     while (under := speeds * counts < geom.road_length).any():
         counts += under
-    vid = np.repeat(np.arange(n_vehicles), counts)
-    k = np.arange(len(vid)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return Trace(
-        time=entries[vid] + k,
-        vehicle_id=vid,
-        x=speeds[vid] * k,
-        y=((vid % geom.lanes) + 0.5) * LANE_WIDTH_M,
-        speed=speeds[vid],
-    )
+    return Trace(entry=entries, speed=speeds, samples=counts)
 
 
-def coverage(
-    trace: Trace, geom: ScenarioGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """In-range intervals of every vehicle, solved over arrays.
+def coverage(trace: Trace, geom: ScenarioGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """In-range interval ``(t_in, t_out)`` of every vehicle, in id order;
+    both are NaN for a vehicle never in coverage.
 
-    Returns ``(vehicle_id, first_time, t_in, t_out)``, one entry per
-    vehicle in id order; ``first_time`` is its first sample time, and
-    ``t_in``/``t_out`` are NaN for a vehicle never in coverage. Rows are
-    grouped by vehicle with a stable sort, so they may arrive interleaved.
-
-    A vehicle whose first sample is inside enters at that sample.
-    Otherwise it enters at the first root in [0, 1] on a segment from
-    outside to inside, and it leaves at the first such root on a later
-    segment from inside to outside; a segment without a root in [0, 1] is
-    skipped. A vehicle still inside at its last sample leaves there:
-    nothing past the trace is assumed.
+    A sample is in coverage when its squared distance to the RSU is at
+    most radius^2. Every float operation along a drive rounds
+    monotonically, so that distance falls and then rises, and the samples
+    in coverage form one run [ka, kb]. A vehicle whose first sample is
+    inside enters at that sample; otherwise it enters at the root in
+    [0, 1] on segment ka - 1, and without one it is never covered. It
+    leaves at the root in [0, 1] on segment kb or, without one, at its
+    last sample: nothing past the trace is assumed.
     """
-    order = np.argsort(trace.vehicle_id, kind="stable")
-    vid, t, x, y = (c[order] for c in (trace.vehicle_id, trace.time, trace.x, trace.y))
-    new = np.diff(vid, prepend=vid[:1] - 1) != 0
-    first, group = np.flatnonzero(new), np.cumsum(new) - 1
-    last = np.flatnonzero(np.diff(vid, append=vid[-1:] + 1))
-
+    speed, n = trace.speed, trace.samples
+    ay = ((np.arange(len(n)) % geom.lanes) + 0.5) * LANE_WIDTH_M - geom.rsu_y
     r2 = geom.coverage_radius**2
-    ax, ay = x - geom.rsu_x, y - geom.rsu_y
-    dist2 = ax * ax + ay * ay
-    inside = dist2 <= r2
-    # float ** 2 is libm pow, which can differ from x * x by an ulp: settle
-    # the side of the disc with it wherever an ulp could matter
-    for i in np.flatnonzero(np.abs(dist2 - r2) <= 1e-9 * r2):
-        inside[i] = float(ax[i]) ** 2 + float(ay[i]) ** 2 <= r2
 
-    same, dt = ~new[1:], np.diff(t)
-    if (bad := same & (dt <= 0)).any():
-        raise ValueError(f"vehicle {vid[np.argmax(bad)]}: non-increasing sample times")
-    seg = np.flatnonzero(same & (inside[:-1] != inside[1:]))
-    # p(s) = a + s*(b-a), s in [0,1]; solve |p(s)-rsu|^2 = r^2 on each crossing
-    sax, say = ax[seg], ay[seg]
-    dx, dy = x[seg + 1] - x[seg], y[seg + 1] - y[seg]
-    qa = dx * dx + dy * dy
-    qb = 2 * (sax * dx + say * dy)
-    qc = sax * sax + say * say - r2
-    disc = qb * qb - 4 * qa * qc
-    real = (qa > 0) & (disc >= 0)
-    sq, den = np.sqrt(np.where(real, disc, 0.0)), np.where(real, 2 * qa, 1.0)
-    s1, s2 = (-qb - sq) / den, (-qb + sq) / den
-    hit1, hit2 = real & (0 <= s1) & (s1 <= 1), real & (0 <= s2) & (s2 <= 1)
-    hit = hit1 | hit2
-    seg, s_hit = seg[hit], np.where(hit1, s1, s2)[hit]
-    t_hit, g_hit = t[seg] + s_hit * dt[seg], group[seg]
+    def inside(k: np.ndarray) -> np.ndarray:
+        """Whether each vehicle's sample k is in the disc (False off its drive)."""
+        ax = speed * k - geom.rsu_x
+        dist2 = ax * ax + ay * ay
+        hit = dist2 <= r2
+        # float ** 2 is libm pow, which can differ from x * x by an ulp:
+        # settle the side of the disc with it wherever an ulp could matter
+        for i in np.flatnonzero(np.abs(dist2 - r2) <= 1e-9 * r2):
+            hit[i] = float(ax[i]) ** 2 + float(ay[i]) ** 2 <= r2
+        return hit & (0 <= k) & (k < n)
 
-    starts_inside = inside[first]
-    t_in = np.where(starts_inside, t[first], np.nan)
-    entered_at = np.where(starts_inside, -1, len(vid))
-    enters = ~inside[seg] & ~starts_inside[g_hit]
-    g, i = np.unique(g_hit[enters], return_index=True)
-    t_in[g], entered_at[g] = t_hit[enters][i], seg[enters][i]
-    leaves = inside[seg] & (seg > entered_at[g_hit])
-    t_out = np.where(np.isnan(t_in), np.nan, t[last])
-    g, i = np.unique(g_hit[leaves], return_index=True)
-    t_out[g] = t_hit[leaves][i]
-    return vid[first], t[first], t_in, t_out
+    def crossing(k: np.ndarray) -> np.ndarray:
+        """The time of the rim crossing on each vehicle's segment from
+        sample k to k + 1, NaN where no root lies in [0, 1]."""
+        t0, t1 = trace.entry + k, trace.entry + (k + 1)
+        x0 = speed * k
+        sax, dx = x0 - geom.rsu_x, speed * (k + 1) - x0
+        # p(s) = a + s*(b-a), s in [0,1]; solve |p(s)-rsu|^2 = r^2
+        qa = dx * dx
+        qb = 2 * (sax * dx)
+        qc = sax * sax + ay * ay - r2
+        disc = qb * qb - 4 * qa * qc
+        real = (qa > 0) & (disc >= 0)
+        sq, den = np.sqrt(np.where(real, disc, 0.0)), np.where(real, 2 * qa, 1.0)
+        s1, s2 = (-qb - sq) / den, (-qb + sq) / den
+        hit1, hit2 = real & (0 <= s1) & (s1 <= 1), real & (0 <= s2) & (s2 <= 1)
+        return np.where(hit1 | hit2, t0 + np.where(hit1, s1, s2) * (t1 - t0), np.nan)
+
+    # the chord's ends put ka and kb within a sample of the run's ends;
+    # the float test settles them
+    half = np.sqrt(np.maximum(r2 - ay * ay, 0.0))
+    ka = np.clip(np.ceil((geom.rsu_x - half) / speed), 0, n).astype(np.int64)
+    kb = np.clip(np.floor((geom.rsu_x + half) / speed), -1, n - 1).astype(np.int64)
+    while (step := inside(ka - 1)).any():
+        ka -= step
+    while (step := inside(kb + 1)).any():
+        kb += step
+    while (step := (ka <= kb) & ~inside(ka)).any():
+        ka += step
+    while (step := (ka <= kb) & ~inside(kb)).any():
+        kb -= step
+
+    t_in = np.where(ka == 0, trace.entry, crossing(ka - 1))
+    t_in[ka > kb] = np.nan
+    t_out = crossing(kb)
+    t_out = np.where((kb < n - 1) & ~np.isnan(t_out), t_out, trace.entry + (n - 1))
+    t_out[np.isnan(t_in)] = np.nan
+    return t_in, t_out
 
 
 def spawn_tasks(
@@ -250,7 +228,9 @@ def spawn_tasks(
         raise ValueError(f"tasks_per_vehicle must be >= 1, got {tasks_per_vehicle}")
     rng = np.random.default_rng(seed)
     drafts = []
-    for vid, gen, t_in, t_out in zip(*(c.tolist() for c in coverage(trace, geom))):
+    t_in, t_out = coverage(trace, geom)
+    rows = zip(trace.entry.tolist(), t_in.tolist(), t_out.tolist())
+    for vid, (gen, t_in, t_out) in enumerate(rows):
         # draws happen even for uncovered vehicles so that coverage does not
         # shift the random stream of later vehicles
         for _ in range(tasks_per_vehicle):

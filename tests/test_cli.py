@@ -294,6 +294,19 @@ class TestTrainAndDeploy:
         assert err == f"error: {flag} must be positive, got {value}\n"
         assert not out.exists()
 
+    def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ppo": {
+            "lr_actor": 1e12, "lr_critic": 1e12, "rollout": 64, "minibatch": 16,
+        }}))
+        out = tmp_path / "policy.json"
+        code = main(["train", "--config", str(config), "--algo", "ppo", "--episodes", "5",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: ppo training diverged: chosen-action probability collapsed to zero\n"
+        assert not out.exists()
+
 
 class TestMatrixAndExport:
     def test_small_matrix_then_export_round_trip(self, tmp_path, fast_config):
@@ -323,6 +336,19 @@ class TestMatrixAndExport:
             "export", "--in", str(json_path), "--format", "csv", "--out", str(again),
         ]) == 0
         assert again.read_bytes() == csv_path.read_bytes()
+
+    def test_export_reads_a_csv_report_by_its_suffix_in_any_case(self, tmp_path):
+        csv_path, json_path = tmp_path / "r.CSV", tmp_path / "r.json"
+        assert main([
+            "run", "--algo", "fcfs", "--vehicles", "20", "--synthetic-exec-cost", "0",
+            "--out", str(csv_path),
+        ]) == 0
+        assert main([
+            "export", "--in", str(csv_path), "--format", "json", "--out", str(json_path),
+        ]) == 0
+        assert MetricsReport.from_json(str(json_path)).rows == (
+            MetricsReport.from_csv(str(csv_path)).rows
+        )
 
     @pytest.mark.parametrize("name, body, fault", [
         ("r.json", '{"rows": [{"algo": "x"}], "means": []}',

@@ -1,19 +1,18 @@
 import hashlib
-import itertools
 import json
 import math
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vecoff.config import config_from_dict, default_config, section_to_dict
 from vecoff.domain import ConfigError, dumps
 from vecoff.experiments import build_episode_tasks
 from vecoff.mobility import (
-    TRACE_HEADER,
+    LANE_WIDTH_M,
     ScenarioGeometry,
     Trace,
     WorkloadModel,
@@ -22,18 +21,19 @@ from vecoff.mobility import (
     spawn_tasks,
 )
 
-
-def straight_trace(speed=25.0, y=0.0, n=41, vid=0):
-    """Vehicle driving x = speed * t along y = const, sampled at 1 Hz."""
-    k = np.arange(n)
-    return Trace(
-        time=k.astype(float), vehicle_id=np.full(n, vid), x=speed * k,
-        y=np.full(n, y), speed=np.full(n, speed),
-    )
+LANE_Y = LANE_WIDTH_M / 2  # lateral offset of lane 0
 
 
-def concat(*traces):
-    return Trace(*(np.concatenate([getattr(t, n) for t in traces]) for n in TRACE_HEADER))
+def drives(speeds, samples, entries=None):
+    """Straight drives, one per speed, each entering at 0 unless given."""
+    speeds = np.array(speeds, dtype=float)
+    entries = np.zeros(len(speeds)) if entries is None else np.array(entries, dtype=float)
+    return Trace(entry=entries, speed=speeds, samples=np.array(samples, dtype=np.int64))
+
+
+def drive(speed=25.0, samples=41):
+    """One vehicle driving x = speed * t along lane 0, sampled at 1 Hz."""
+    return drives([speed], [samples])
 
 
 class TestGenerateTrace:
@@ -41,24 +41,27 @@ class TestGenerateTrace:
         geom = ScenarioGeometry()
         a = generate_trace(geom, 10, seed=7)
         b = generate_trace(geom, 10, seed=7)
-        assert a == b
+        for name in ("entry", "speed", "samples"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_changes_trace(self):
         geom = ScenarioGeometry()
-        assert generate_trace(geom, 10, seed=7) != generate_trace(geom, 10, seed=8)
+        a, b = generate_trace(geom, 10, seed=7), generate_trace(geom, 10, seed=8)
+        assert not np.array_equal(a.entry, b.entry)
+        assert not np.array_equal(a.speed, b.speed)
 
     def test_sample_count_at_fixed_speed(self):
         # 1000 m road at exactly 20 m/s, 1 Hz: samples at x=0,20,...,980
         geom = ScenarioGeometry(speed_range=(20.0, 20.0))
         trace = generate_trace(geom, 1, seed=0)
-        assert len(trace) == 50
-        assert trace.x[0] == 0.0
-        assert trace.x[-1] == 980.0
+        assert trace.samples.tolist() == [50]
+        assert trace.speed[0] * (trace.samples[0] - 1) == 980.0
 
     def test_vehicle_ids_are_dense(self):
-        geom = ScenarioGeometry()
-        trace = generate_trace(geom, 200, seed=3)
-        assert set(trace.vehicle_id.tolist()) == set(range(200))
+        # one row per vehicle, in id order
+        trace = generate_trace(ScenarioGeometry(), 200, seed=3)
+        assert len(trace.entry) == len(trace.speed) == len(trace.samples) == 200
+        assert (np.diff(trace.entry) >= 0).all()
 
     def test_speeds_within_range(self):
         geom = ScenarioGeometry(speed_range=(20.0, 30.0))
@@ -71,11 +74,11 @@ class TestGenerateTrace:
 
 
 class TestCoverageGeometry:
-    # RSU at (500, 0) with radius 250 over the road y=0: coverage is the
-    # chord x in [250, 750], i.e. 500 m, which a 25 m/s vehicle holds 20 s.
+    # RSU on lane 0 at x = 500 with radius 250: coverage is the chord
+    # x in [250, 750], i.e. 500 m, which a 25 m/s vehicle holds 20 s.
 
-    def geom(self, radius=250.0):
-        return ScenarioGeometry(rsu_x=500.0, rsu_y=0.0, coverage_radius=radius)
+    def geom(self, radius=250.0, **kw):
+        return ScenarioGeometry(**{"rsu_x": 500.0, "rsu_y": LANE_Y, "coverage_radius": radius, **kw})
 
     def task_generated_at(self, instant, seed=0):
         """The one task of a straight vehicle, generated at about ``instant``.
@@ -85,11 +88,11 @@ class TestCoverageGeometry:
         """
         e = np.random.default_rng(seed).standard_exponential()
         workload = WorkloadModel(poisson_rate=e / instant)
-        (task,) = spawn_tasks(straight_trace(speed=25.0), self.geom(), workload, 1, seed)
+        (task,) = spawn_tasks(drive(speed=25.0), self.geom(), workload, 1, seed)
         return task
 
     def test_full_chord_remaining(self):
-        _, _, t_in, t_out = coverage(straight_trace(speed=25.0), self.geom())
+        t_in, t_out = coverage(drive(speed=25.0), self.geom())
         assert math.isclose(t_in[0], 10.0, abs_tol=1e-9)
         assert math.isclose(t_out[0], 30.0, abs_tol=1e-9)
         task = self.task_generated_at(10.0)
@@ -114,83 +117,126 @@ class TestCoverageGeometry:
         assert math.isclose(task.remaining_in_range, 20.0, abs_tol=1e-9)
 
     def test_halving_radius_halves_chord_time(self):
-        samples = straight_trace(speed=25.0)
-        _, _, t_in, t_out = coverage(samples, self.geom(250.0))
-        _, _, h_in, h_out = coverage(samples, self.geom(125.0))
+        t_in, t_out = coverage(drive(speed=25.0), self.geom(250.0))
+        h_in, h_out = coverage(drive(speed=25.0), self.geom(125.0))
         assert math.isclose(t_out[0] - t_in[0], 2 * (h_out[0] - h_in[0]), abs_tol=1e-9)
 
     def test_never_covered_has_no_interval(self):
-        _, _, t_in, t_out = coverage(straight_trace(speed=25.0, y=1000.0), self.geom())
+        t_in, t_out = coverage(drive(speed=25.0), self.geom(rsu_y=-1000.0))
         assert math.isnan(t_in[0]) and math.isnan(t_out[0])
 
     def test_coverage_intervals_per_vehicle(self):
-        trace = concat(
-            straight_trace(speed=25.0, y=1000.0, vid=1), straight_trace(speed=25.0, vid=0)
-        )
-        vids, first, t_in, t_out = coverage(trace, self.geom())
-        assert vids.tolist() == [0, 1]
-        assert first.tolist() == [0.0, 0.0]
-        assert math.isclose(t_in[0], 10.0, abs_tol=1e-9)
-        assert math.isclose(t_out[0], 30.0, abs_tol=1e-9)
-        assert math.isnan(t_in[1]) and math.isnan(t_out[1])
+        # each row is solved on its own clock and speed; the third vehicle
+        # leaves the road at x = 100, short of the disc
+        trace = drives([25.0, 50.0, 25.0], [41, 21, 5], entries=[0.0, 3.0, 1.0])
+        t_in, t_out = coverage(trace, self.geom(lanes=1))
+        assert np.allclose(t_in[:2], [10.0, 8.0], rtol=0, atol=1e-9)
+        assert np.allclose(t_out[:2], [30.0, 18.0], rtol=0, atol=1e-9)
+        assert math.isnan(t_in[2]) and math.isnan(t_out[2])
+
+    def test_lane_sets_the_lateral_offset(self):
+        # with two lanes, vehicle 1 drives 3.5 m off the RSU's lane
+        t_in, t_out = coverage(drives([25.0, 25.0], [41, 41]), self.geom(lanes=2))
+        half = math.sqrt(250.0**2 - LANE_WIDTH_M**2)
+        assert math.isclose(t_in[1], (500.0 - half) / 25.0, abs_tol=1e-9)
+        assert math.isclose(t_out[1], (500.0 + half) / 25.0, abs_tol=1e-9)
 
     def test_still_inside_at_trace_end_closes_at_last_sample(self):
-        samples = straight_trace(speed=25.0, n=25)  # ends at x=600, inside
-        _, _, _, t_out = coverage(samples, self.geom())
+        _, t_out = coverage(drive(speed=25.0, samples=25), self.geom())  # ends at x=600
         assert t_out[0] == 24.0
 
-    def test_non_increasing_times_rejected(self):
-        trace = straight_trace(speed=25.0, vid=3)
-        trace.time[5] = trace.time[4]
-        with pytest.raises(ValueError, match="vehicle 3: non-increasing"):
-            coverage(trace, self.geom())
+    def test_a_touch_enters_and_leaves_at_one_sample(self):
+        # the disc spans x in [100, 120], so only sample 4 (x = 100) is in
+        # it, on the rim; both roots of its leaving segment, s = 0 and
+        # s = 0.8, lie in [0, 1], and the first is taken
+        t_in, t_out = coverage(drive(speed=25.0), self.geom(10.0, rsu_x=110.0))
+        assert (t_in[0], t_out[0]) == (4.0, 4.0)
 
     def test_empty_trace_has_no_vehicles(self):
-        assert all(len(c) == 0 for c in coverage(Trace([], [], [], [], []), self.geom()))
+        assert all(len(c) == 0 for c in coverage(drives([], []), self.geom()))
 
     @pytest.mark.parametrize("radius,path", [
         # Python's 117.03...**2 rounds below 117.03... * 117.03..., so the
-        # first sample is on the disc only as float ** 2 computes it
-        (117.03779861733885, [(0.0, 117.03779861733885, 0.0), (1.0, 234.0755972346777, 0.0)]),
-        # the radial approach to a rim sample has its root at s = 1 + 2**-52,
-        # so that entry is skipped and the next crossing, a leaving one, is
-        # ignored until the vehicle enters again through the centre
-        (250.0, [
-            (0.0, -433.5342762016559, -249.09442257566974),
-            (1.0, -216.76713810082796, -124.54721128783487),
-            (2.0, 433.5342762016559, 249.09442257566974),
-            (3.0, 0.0, 0.0),
-            (4.0, 750.0, 0.0),
-        ]),
+        # first sample is on the disc only as float ** 2 computes it, and
+        # the root leaving it falls just before s = 0
+        (117.03779861733885, (117.03779861733885, -117.03779861733885, LANE_Y, 2)),
+        # a sample on the rim, or one ulp in or out, that the chord puts on
+        # the wrong side: each case moves one settle step of ``coverage``
+        # (the fourth is the uncovered drive further down)
+        pytest.param(
+            381.5348519478648, (1.7644163235127723, -311.375017295588, 144.75451391662125, 40),
+            id="last-inside-above-chord",
+        ),
+        pytest.param(241.27176067662785, (32.0, 771.0, -80.0, 40), id="first-in-chord-outside"),
+        pytest.param(122.60123368057924, (25.0, 579.0, -18.0, 40), id="last-in-chord-outside"),
     ])
     def test_matches_the_scalar_solver_on_the_rim(self, radius, path):
-        geom = ScenarioGeometry(rsu_x=0.0, rsu_y=0.0, coverage_radius=radius)
-        trace = Trace(*zip(*[(t, 7, x, y, 0.0) for t, x, y in path]))
-        _, _, t_in, t_out = coverage(trace, geom)
-        reference = scalar_crossings([Sample(t, 7, x, y, 0.0) for t, x, y in path], geom)
+        speed, rsu_x, rsu_y, samples = path
+        geom = ScenarioGeometry(rsu_x=rsu_x, rsu_y=rsu_y, coverage_radius=radius)
+        trace = drive(speed, samples)
+        reference = scalar_crossings(samples_of(trace, geom, 0), geom)
         assert reference is not None
-        assert (t_in[0], t_out[0]) == reference
+        assert interval(coverage(trace, geom), 0) == reference
+
+    def test_an_entry_root_past_its_segment_leaves_the_vehicle_uncovered(self):
+        # samples 1..8 are in the disc, but sample 1 sits on the rim and the
+        # root on segment 0 rounds to just past s = 1, so no entry is found
+        geom = ScenarioGeometry(
+            rsu_x=168.0441337479727, rsu_y=36.61844837179274, coverage_radius=136.06837030432607
+        )
+        trace = drive(36.51925889375041, 40)
+        assert sum(in_disc(s, geom) for s in samples_of(trace, geom, 0)) == 8
+        assert interval(coverage(trace, geom), 0) is None
+        assert scalar_crossings(samples_of(trace, geom, 0), geom) is None
+
+    def test_an_exit_root_past_its_segment_holds_the_vehicle_to_its_last_sample(self):
+        # samples 0..31 are in the disc, and the root leaving sample 31
+        # rounds to just past s = 1, so the vehicle leaves at sample 39
+        geom = ScenarioGeometry(
+            rsu_x=-271.54055346373025, rsu_y=28.729015244526124, coverage_radius=438.02169004975576
+        )
+        trace = drive(5.176546547727449, 40)
+        inside = [in_disc(s, geom) for s in samples_of(trace, geom, 0)]
+        assert inside == [True] * 32 + [False] * 8
+        assert interval(coverage(trace, geom), 0) == (0.0, 39.0)
+        assert scalar_crossings(samples_of(trace, geom, 0), geom) == (0.0, 39.0)
 
     @given(st.data())
     def test_matches_the_scalar_solver_exactly(self, data):
         geom = data.draw(geometries())
-        paths = data.draw(
-            st.dictionaries(st.integers(0, 10**6), vehicle_paths(geom), min_size=1, max_size=6)
+        n = data.draw(st.integers(1, 6))
+        trace = generate_trace(geom, n, data.draw(st.integers(0, 2**32 - 1)))
+        intervals = coverage(trace, geom)
+        for v in range(n):
+            assert interval(intervals, v) == scalar_crossings(samples_of(trace, geom, v), geom)
+
+    @given(st.data())
+    def test_matches_the_scalar_solver_on_rim_drives(self, data):
+        geom, trace = data.draw(rim_drives())
+        assert interval(coverage(trace, geom), 0) == scalar_crossings(
+            samples_of(trace, geom, 0), geom
         )
-        # interleave vehicles in any order, each keeping its own time order
-        turns = data.draw(st.permutations([v for v, path in paths.items() for _ in path]))
-        pending = {v: iter(path) for v, path in paths.items()}
-        rows = [(t, v, x, y, 0.0) for v in turns for t, x, y in [next(pending[v])]]
-
-        vids, first, t_in, t_out = coverage(Trace(*zip(*rows)), geom)
-        assert vids.tolist() == sorted(paths)
-        for vid, start, lo, hi in zip(vids.tolist(), first.tolist(), t_in.tolist(), t_out.tolist()):
-            samples = [Sample(t, vid, x, y, 0.0) for t, x, y in paths[vid]]
-            assert start == samples[0].time
-            assert (None if math.isnan(lo) else (lo, hi)) == scalar_crossings(samples, geom)
 
 
-Sample = namedtuple("Sample", TRACE_HEADER)
+Sample = namedtuple("Sample", ["time", "x", "y"])
+
+
+def samples_of(trace, geom, v):
+    """Vehicle ``v``'s 1 Hz samples as ``Trace`` defines them: sample k at
+    time entry + k and x = speed * k, on its lane's offset."""
+    y = ((v % geom.lanes) + 0.5) * LANE_WIDTH_M
+    entry, speed = float(trace.entry[v]), float(trace.speed[v])
+    return [Sample(entry + k, speed * k, y) for k in range(int(trace.samples[v]))]
+
+
+def interval(intervals, v):
+    """Vehicle ``v``'s (t_in, t_out) from ``coverage``, or None."""
+    t_in, t_out = (float(c[v]) for c in intervals)
+    return None if math.isnan(t_in) else (t_in, t_out)
+
+
+def in_disc(s, geom):
+    return (s.x - geom.rsu_x) ** 2 + (s.y - geom.rsu_y) ** 2 <= geom.coverage_radius**2
 
 
 def scalar_crossings(samples, geom):
@@ -210,8 +256,6 @@ def scalar_crossings(samples, geom):
         t_in = samples[0].time
     for a, b in zip(samples, samples[1:]):
         dt = b.time - a.time
-        if dt <= 0:
-            raise ValueError(f"vehicle {a.vehicle_id}: non-increasing sample times")
         # p(s) = a + s*(b-a), s in [0,1]; solve |p(s)-rsu|^2 = r^2.
         ax, ay = a.x - geom.rsu_x, a.y - geom.rsu_y
         dx, dy = b.x - a.x, b.y - a.y
@@ -241,51 +285,36 @@ def scalar_crossings(samples, geom):
 
 @st.composite
 def geometries(draw):
+    """A road and RSU anywhere near it, at speeds that keep a drive under
+    300 samples."""
+    lo = draw(st.floats(5, 60))
     return ScenarioGeometry(
-        rsu_x=draw(st.floats(-500, 500)),
+        rsu_x=draw(st.floats(-500, 2000)),
         rsu_y=draw(st.floats(-500, 500)),
-        coverage_radius=draw(st.floats(1, 400)),
+        coverage_radius=draw(st.floats(1, 800)),
+        road_length=draw(st.floats(1, 1500)),
+        lanes=draw(st.integers(1, 4)),
+        speed_range=(lo, draw(st.floats(lo, 60))),
     )
 
 
 @st.composite
-def vehicle_paths(draw, geom):
-    """(time, x, y) of one vehicle at irregular, increasing times.
-
-    A path is a polyline of free points, points on the rim and points a
-    hair off it (so it may start or end inside, re-enter, or never come
-    near), a straight drive with lateral motion, or a near-tangent graze.
-    """
-    n = draw(st.integers(1, 12))
-    t0 = draw(st.floats(0, 100))
-    times = list(itertools.accumulate(
-        draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1)), initial=t0
-    ))
-    r, cx, cy = geom.coverage_radius, geom.rsu_x, geom.rsu_y
-    angle = st.floats(0, 2 * math.pi)
-    kind = draw(st.sampled_from(["polyline", "drive", "graze"]))
-    if kind == "polyline":
-        free = st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)).map(
-            lambda p: (cx + r * p[0], cy + r * p[1])
-        )
-        rim = st.tuples(angle, st.sampled_from([1.0, 1 + 1e-15, 1 - 1e-15])).map(
-            lambda a: (cx + r * a[1] * math.cos(a[0]), cy + r * a[1] * math.sin(a[0]))
-        )
-        points = [draw(st.one_of(free, rim)) for _ in times]
-    elif kind == "drive":
-        x0, y0 = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
-        vx, vy = draw(st.floats(-60, 60)), draw(st.floats(-10, 10))
-        points = [(cx + r * x0 + vx * (t - t0), cy + r * y0 + vy * (t - t0)) for t in times]
-    else:
-        phi = draw(angle)
-        d = r * (1 + draw(st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-1e-6, 1e-6)))
-        u0, v = draw(st.floats(-2 * r, 0)), draw(st.floats(r / 20, r))
-        nx, ny = math.cos(phi), math.sin(phi)
-        points = [
-            (cx + d * nx - (u0 + v * (t - t0)) * ny, cy + d * ny + (u0 + v * (t - t0)) * nx)
-            for t in times
-        ]
-    return [(t, x, y) for t, (x, y) in zip(times, points)]
+def rim_drives(draw):
+    """One drive with its sample k on the rim: exactly as ``math.hypot``
+    puts it, or one or two ulps in or out."""
+    speed = draw(st.floats(1, 40))
+    samples = draw(st.integers(1, 60))
+    k = draw(st.integers(0, samples - 1))
+    rsu_x = speed * k + draw(st.floats(-600, 600))
+    rsu_y = draw(st.floats(-300, 300))
+    radius = math.hypot(speed * k - rsu_x, LANE_Y - rsu_y)
+    ulps = draw(st.integers(-2, 2))
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, math.inf if ulps > 0 else 0.0)
+    assume(radius > 0)
+    geom = ScenarioGeometry(rsu_x=rsu_x, rsu_y=rsu_y, coverage_radius=radius)
+    entry = draw(st.floats(0, 100))
+    return geom, drives([speed], [samples], entries=[entry])
 
 
 class TestWorkloadModel:
@@ -310,8 +339,8 @@ class TestWorkloadModel:
 
 class TestSpawnTasks:
     def setup_method(self):
-        self.geom = ScenarioGeometry(rsu_x=500.0, rsu_y=0.0, coverage_radius=250.0)
-        self.trace = concat(*(straight_trace(speed=25.0, vid=vid) for vid in range(5)))
+        self.geom = ScenarioGeometry(rsu_x=500.0, rsu_y=LANE_Y, coverage_radius=250.0, lanes=1)
+        self.trace = drives([25.0] * 5, [41] * 5)
 
     def test_count_and_ids(self):
         tasks = spawn_tasks(self.trace, self.geom, WorkloadModel(), 10, seed=4)
@@ -344,8 +373,8 @@ class TestSpawnTasks:
             assert 10.0 - 1e-9 <= t.arrival <= 30.0 + 1e-9
 
     def test_uncovered_vehicles_emit_nothing(self):
-        trace = straight_trace(speed=25.0, y=1000.0, vid=0)
-        assert spawn_tasks(trace, self.geom, WorkloadModel(), 5, seed=0) == []
+        geom = ScenarioGeometry(rsu_x=500.0, rsu_y=-1000.0, coverage_radius=250.0)
+        assert spawn_tasks(drive(speed=25.0), geom, WorkloadModel(), 5, seed=0) == []
 
     def test_tasks_per_vehicle_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,9 @@ the reason no test can tell it from the code (such a mutant is not run).
 It prints one line per mutant, a killed one with the first test that
 failed, and exits 1 if any mutant that is not equivalent survived. A
 listed text that no longer occurs exactly once is an error, so the list
-cannot go stale silently. It takes two to three minutes, most of it in
-the unmutated run. Standard library only.
+cannot go stale silently. It runs the tests once in full and once per
+mutant up to the first failure, several minutes for this list.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -67,10 +68,31 @@ MUTANTS = (
            "if waiting <= slacks[pos]:", "if waiting < slacks[pos]:"),
     Mutant("online swarm commits its ordering's last task", "src/vecoff/heuristics.py",
            "return ordering[0]", "return ordering[-1]"),
+    Mutant("swarm's pulls swapped", "src/vecoff/heuristics.py",
+           "pull_p, pull_g = pulls", "pull_g, pull_p = pulls"),
+    Mutant("swarm's global best is the last least personal best", "src/vecoff/heuristics.py",
+           "pbest_x[pbest_val.index(best_val)]",
+           "pbest_x[len(pbest_val) - 1 - pbest_val[::-1].index(best_val)]"),
+    Mutant("replay overwrites the heap top", "src/vecoff/heuristics.py",
+           "heapq.heapreplace(av, start + proc)", "av[0] = start + proc"),
     Mutant("induced ordering sorts dropped tasks by id", "src/vecoff/heuristics.py",
            "dropped.append((t.deadline, t.id, pos))", "dropped.append((t.id, t.deadline, pos))",
            equivalent="dropped tasks go last, where a replay drops them again in any "
            "order; the fixed-cost grid hash did not move"),
+    Mutant("a rim sample before the chord is left out", "src/vecoff/mobility.py",
+           "(step := inside(ka - 1)).any()", "False"),
+    Mutant("a rim sample after the chord is left out", "src/vecoff/mobility.py",
+           "(step := inside(kb + 1)).any()", "False"),
+    Mutant("the chord's first sample counts as inside", "src/vecoff/mobility.py",
+           "(step := (ka <= kb) & ~inside(ka)).any()", "False"),
+    Mutant("the chord's last sample counts as inside", "src/vecoff/mobility.py",
+           "(step := (ka <= kb) & ~inside(kb)).any()", "False"),
+    Mutant("a sample on the rim is outside", "src/vecoff/mobility.py",
+           "float(ay[i]) ** 2 <= r2", "float(ay[i]) ** 2 < r2"),
+    Mutant("a crossing takes its second root", "src/vecoff/mobility.py",
+           "np.where(hit1, s1, s2)", "np.where(hit2, s2, s1)"),
+    Mutant("coverage holds a vehicle past its last sample", "src/vecoff/mobility.py",
+           "trace.entry + (n - 1)", "trace.entry + n"),
     Mutant("encoder's deadline measured from arrival", "src/vecoff/rl/encoding.py",
            "(t.deadline - now) / ts", "(t.deadline - t.arrival) / ts"),
     Mutant("degenerate reward only below zero", "src/vecoff/rl/reward.py",
